@@ -24,7 +24,8 @@
  *                 once single-threaded and once on the worker pool, so
  *                 the artifact tracks simulation wall-clock and speedup.
  *  --json PATH    write the per-app results as JSON (BENCH_PR.json).
- *  --threads N    worker threads for the parallel runs (0 = auto).
+ *  --threads N    worker threads for the system runs and, in full mode,
+ *                 their unit builds (0 = auto).
  *  --faults SEED  smoke only: re-run every app under the mixed fault
  *                 plan FaultPlan::fromSeed(SEED), print each app's
  *                 RunReport summary, and assert the serial and
@@ -168,7 +169,7 @@ evaluateAppSmoke(const apps::Application &app, const RunOptions &opts)
 AppResult
 evaluateApp(const apps::Application &app, const model::Device &device,
             const model::PowerParams &power, int cpu_threads,
-            system::PuBackend backend)
+            const RunOptions &opts)
 {
     AppResult result;
     result.name = app.name();
@@ -189,6 +190,13 @@ evaluateApp(const apps::Application &app, const model::Device &device,
     int per_channel = std::min(result.pus / device.memoryChannels, 96);
     per_channel = std::max(per_channel, 1);
     const uint64_t stream_bytes = 16384;
+    // The one channel runs on one worker, but building its units (the
+    // Fast backend's functional pre-pass) uses min(threads, units).
+    const int workers =
+        opts.threads > 0
+            ? opts.threads
+            : int(std::max(1u, std::thread::hardware_concurrency()));
+    result.threadsUsed = std::min(workers, per_channel);
 
     double fleet_sum = 0;
     double gpu_sum = 0;
@@ -205,14 +213,14 @@ evaluateApp(const apps::Application &app, const model::Device &device,
                                    1000 + range);
         system::SystemConfig config;
         config.numChannels = 1;
-        config.backend = backend;
+        config.backend = opts.backend;
+        config.numThreads = opts.threads;
         auto run = bench::runFleet(use->program(), streams, config,
                                    device.memoryChannels);
         fleet_sum += run.gbps;
         result.bytesPerCycle += run.bytesPerCycle;
         result.cycles += run.cycles;
         result.simWallS += run.simWallSeconds;
-        result.threadsUsed = run.threads;
 
         // --- GPU model: two warps of distinct streams. -------------------
         auto gpu_streams = bench::makeStreams(*use, 64, 8192, 2000 + range);
@@ -562,7 +570,7 @@ main(int argc, char **argv)
                  "vs CPU", "vs GPU"});
     for (auto &app : apps::allApplications()) {
         AppResult r =
-            evaluateApp(*app, device, power, cpu_threads, opts.backend);
+            evaluateApp(*app, device, power, cpu_threads, opts);
         const auto &paper = bench::paperRowFor(r.name);
         table.row()
             .cell(r.name)

@@ -1,7 +1,9 @@
 #include "baseline/simt.h"
 
-#include <map>
-#include <memory>
+#include <algorithm>
+#include <deque>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -38,8 +40,11 @@ simulateWarps(const lang::Program &program,
               const SimtParams &params)
 {
     SimtResult result;
-    lang::FlatProgram flat = lang::flatten(program);
-    const size_t num_actions = flat.assigns.size() + flat.emits.size();
+    // One compiled tape serves every lane of every warp.
+    auto tape = sim::Tape::compile(program);
+    const lang::FlatProgram &flat = tape->flat;
+    const size_t num_actions = tape->numActions();
+    const size_t words = (num_actions + 63) / 64;
 
     // Expressions of each action, for signature costing.
     std::vector<std::vector<lang::Expr>> action_exprs(num_actions);
@@ -58,16 +63,11 @@ simulateWarps(const lang::Program &program,
         action_exprs[flat.assigns.size() + m].push_back(emit.value);
     }
 
-    std::unordered_map<std::string, uint64_t> cost_memo;
-    auto signature_cost = [&](const std::vector<uint8_t> &sig) {
-        std::string key(sig.begin(), sig.end());
-        auto it = cost_memo.find(key);
-        if (it != cost_memo.end())
-            return it->second;
+    auto signature_cost = [&](const uint64_t *sig) {
         std::unordered_set<const lang::ExprNode *> visited;
         uint64_t count = 0;
         for (size_t a = 0; a < num_actions; ++a) {
-            if (!sig[a])
+            if (!((sig[a / 64] >> (a % 64)) & 1))
                 continue;
             for (const auto &expr : action_exprs[a])
                 countDag(expr, visited, count);
@@ -81,50 +81,63 @@ simulateWarps(const lang::Program &program,
             }
         }
         count += params.stepOverheadInsts;
-        cost_memo.emplace(std::move(key), count);
         return count;
+    };
+    // Distinct signatures get dense ids (keys view their stable copies
+    // in `stored`); costs[id] memoizes each one's instruction count.
+    std::deque<std::string> stored;
+    std::unordered_map<std::string_view, uint32_t> ids;
+    std::vector<uint64_t> costs;
+    auto intern = [&](const uint64_t *sig) {
+        std::string_view key(reinterpret_cast<const char *>(sig),
+                             words * sizeof(uint64_t));
+        auto it = ids.find(key);
+        if (it != ids.end())
+            return it->second;
+        ids.emplace(stored.emplace_back(key), uint32_t(costs.size()));
+        costs.push_back(signature_cost(sig));
+        return uint32_t(costs.size() - 1);
     };
 
     for (const auto &stream : streams)
         result.inputBytes += ceilDiv(stream.sizeBits(), 8);
 
+    std::vector<uint32_t> groups;
+    std::vector<uint64_t> union_sig(words);
     for (size_t base = 0; base < streams.size();
          base += size_t(params.warpSize)) {
         size_t lanes = std::min<size_t>(params.warpSize,
                                         streams.size() - base);
-        std::vector<std::unique_ptr<sim::FunctionalSimulator>> sims;
+        std::vector<sim::FunctionalSimulator> sims;
+        sims.reserve(lanes);
         for (size_t l = 0; l < lanes; ++l) {
-            sims.push_back(std::make_unique<sim::FunctionalSimulator>(
-                program));
-            sims.back()->beginStream(streams[base + l]);
+            sims.emplace_back(tape);
+            sims.back().beginStream(streams[base + l]);
         }
 
-        std::vector<uint8_t> sig;
-        std::vector<uint8_t> union_sig;
         while (true) {
             // One warp step: every unfinished lane executes one virtual
-            // cycle; divergent signature groups serialize.
-            std::map<std::string, uint64_t> groups;
-            union_sig.assign(num_actions, 0);
-            bool any = false;
-            for (size_t l = 0; l < lanes; ++l) {
-                if (sims[l]->streamDone())
+            // cycle; each distinct signature group issues serially.
+            groups.clear();
+            std::fill(union_sig.begin(), union_sig.end(), 0);
+            for (auto &lane : sims) {
+                if (lane.streamDone())
                     continue;
-                any = true;
-                sims[l]->stepVcycle(&sig);
-                groups[std::string(sig.begin(), sig.end())]++;
-                for (size_t a = 0; a < num_actions; ++a)
-                    union_sig[a] |= sig[a];
+                lane.stepVcycle();
+                const uint64_t *sig = lane.signatureBits().data();
+                groups.push_back(intern(sig));
+                for (size_t w = 0; w < words; ++w)
+                    union_sig[w] |= sig[w];
             }
-            if (!any)
+            if (groups.empty())
                 break;
             ++result.warpSteps;
-            for (const auto &[key, count] : groups) {
-                (void)count;
-                std::vector<uint8_t> group_sig(key.begin(), key.end());
-                result.warpInstructions += signature_cost(group_sig);
-            }
-            result.convergedInstructions += signature_cost(union_sig);
+            std::sort(groups.begin(), groups.end());
+            groups.erase(std::unique(groups.begin(), groups.end()),
+                         groups.end());
+            for (uint32_t id : groups)
+                result.warpInstructions += costs[id];
+            result.convergedInstructions += costs[intern(union_sig.data())];
         }
     }
     return result;

@@ -8,282 +8,253 @@
 namespace fleet {
 namespace sim {
 
-using lang::Expr;
-using lang::ExprKind;
 using lang::LValue;
 
 FunctionalSimulator::FunctionalSimulator(const lang::Program &program,
                                          SimOptions options)
-    : program_(program), flat_(lang::flatten(program_)), options_(options)
+    : FunctionalSimulator(Tape::compile(program), options)
 {
+}
+
+FunctionalSimulator::FunctionalSimulator(std::shared_ptr<const Tape> tape,
+                                         SimOptions options)
+    : tape_(std::move(tape)), options_(options)
+{
+    const Tape &t = *tape_;
+    done_.assign(t.numFlags, 0);
+    regWritten_.assign(t.program.regs.size(), 0);
+    vecWritten_.assign(t.vregElements, 0);
+    readAddr_.assign(t.program.brams.size(), -1);
+    writeAddr_.assign(t.program.brams.size(), -1);
+    writes_.reserve(t.flat.assigns.size());
+    sigBits_.assign((t.numActions() + 63) / 64, 0);
     reset();
 }
 
 void
 FunctionalSimulator::reset()
 {
-    state_.regs.clear();
-    for (const auto &reg : program_.regs)
-        state_.regs.push_back(reg.init);
-    state_.vregs.clear();
-    for (const auto &vreg : program_.vregs) {
-        state_.vregs.emplace_back(vreg.elements, vreg.init);
-    }
-    state_.brams.clear();
-    for (const auto &bram : program_.brams)
-        state_.brams.emplace_back(bram.elements, 0);
-    prevWriteAddr_.assign(program_.brams.size(), -1);
-    currentToken_ = 0;
+    slots_ = tape_->initialSlots;
+    mem_ = tape_->initialMem;
+    prevWriteAddr_.assign(tape_->program.brams.size(), -1);
     streamFinished_ = false;
     tokenIndex_ = 0;
+    setCurrentToken(0);
+}
+
+void
+FunctionalSimulator::setCurrentToken(uint64_t token)
+{
+    slots_[tape_->inputSlot] = token;
+    slots_[tape_->finishedSlot] = streamFinished_ ? 1 : 0;
 }
 
 void
 FunctionalSimulator::violation(const std::string &message) const
 {
-    fatal(program_.name, ": restriction violation at ",
+    fatal(tape_->program.name, ": restriction violation at ",
           streamFinished_ ? "cleanup cycle" : "token",
           streamFinished_ ? std::string() : " " + std::to_string(tokenIndex_),
           ": ", message);
 }
 
-uint64_t
-FunctionalSimulator::eval(const Expr &e) const
+void
+FunctionalSimulator::setSignatureBit(size_t action)
 {
-    // Leaves are cheaper to recompute than to cache.
-    switch (e->kind) {
-      case ExprKind::Const:
-      case ExprKind::Input:
-      case ExprKind::StreamFinished:
-      case ExprKind::RegRead:
-        return evalUncached(e);
-      default:
+    sigBits_[action / 64] |= uint64_t(1) << (action % 64);
+}
+
+void
+FunctionalSimulator::checkRead(const TapeOp &op, RunResult &result)
+{
+    const int id = tape_->flat.bramReads[op.dst].bramId;
+    const auto &bram = tape_->program.bram(id);
+    const uint64_t addr = slots_[op.a];
+    if (addr >= uint64_t(bram.elements)) {
+        violation("BRAM " + bram.name + " read address " +
+                  std::to_string(addr) + " out of range (" +
+                  std::to_string(bram.elements) + " elements)");
+    }
+    if (readAddr_[id] >= 0 && readAddr_[id] != int64_t(addr)) {
+        violation("BRAM " + bram.name +
+                  " read at two addresses in one virtual cycle (" +
+                  std::to_string(readAddr_[id]) + " and " +
+                  std::to_string(addr) + ")");
+    }
+    readAddr_[id] = int64_t(addr);
+    if (prevWriteAddr_[id] == int64_t(addr))
+        result.usedBramForwarding = true;
+}
+
+void
+FunctionalSimulator::fireAssign(const TapeOp &op)
+{
+    const TapeAssign &target = tape_->assigns[op.dst];
+    const lang::Program &program = tape_->program;
+    setSignatureBit(op.dst);
+    uint64_t index = 0;
+    switch (target.kind) {
+      case LValue::Kind::Reg:
+        if (regWritten_[target.stateId] == epoch_) {
+            violation("register " + program.reg(target.stateId).name +
+                      " assigned twice in one virtual cycle");
+        }
+        regWritten_[target.stateId] = epoch_;
         break;
-    }
-    int64_t id = lang::exprEvalId(e.get());
-    if (uint64_t(id) >= evalCache_.size()) {
-        evalCache_.resize(id + 64, 0);
-        evalEpochs_.resize(id + 64, 0);
-    }
-    if (evalEpochs_[id] == evalEpoch_)
-        return evalCache_[id];
-    uint64_t value = evalUncached(e);
-    evalEpochs_[id] = evalEpoch_;
-    evalCache_[id] = value;
-    return value;
-}
-
-uint64_t
-FunctionalSimulator::evalUncached(const Expr &e) const
-{
-    switch (e->kind) {
-      case ExprKind::Const:
-        return e->value;
-      case ExprKind::Input:
-        return currentToken_;
-      case ExprKind::StreamFinished:
-        return streamFinished_ ? 1 : 0;
-      case ExprKind::RegRead:
-        return state_.regs[e->stateId];
-      case ExprKind::VecRegRead: {
-        uint64_t idx = eval(e->a);
-        const auto &vec = state_.vregs[e->stateId];
-        // Out-of-range reads return 0, matching the hardware mux tree's
-        // don't-care behaviour.
-        return idx < vec.size() ? vec[idx] : 0;
-      }
-      case ExprKind::BramRead: {
-        uint64_t addr = eval(e->a);
-        const auto &mem = state_.brams[e->stateId];
-        return addr < mem.size() ? mem[addr] : 0;
-      }
-      case ExprKind::Bin:
-        return evalBinOp(e->binOp, eval(e->a), e->a->width, eval(e->b),
-                         e->b->width);
-      case ExprKind::Un:
-        return evalUnOp(e->unOp, eval(e->a), e->a->width);
-      case ExprKind::Mux:
-        // Only the selected leg is evaluated; read accounting is handled
-        // separately via the flattened BramReadOcc list, whose gating
-        // conditions replicate exactly this mux-path behaviour.
-        return eval(e->c) != 0 ? eval(e->a) : eval(e->b);
-      case ExprKind::Slice:
-        return bitsOf(eval(e->a), e->sliceLo, e->width);
-      case ExprKind::Concat:
-        return (eval(e->a) << e->b->width) | eval(e->b);
-    }
-    panic("FunctionalSimulator::eval: unknown expression kind");
-}
-
-bool
-FunctionalSimulator::evalGate(const Expr &cond, bool inside_while,
-                              bool while_active) const
-{
-    if (!inside_while && while_active)
-        return false;
-    return !cond || eval(cond) != 0;
-}
-
-bool
-FunctionalSimulator::runVcycle(RunResult &result,
-                               std::vector<uint8_t> *signature)
-{
-    if (signature)
-        signature->assign(flat_.assigns.size() + flat_.emits.size(), 0);
-
-    // New virtual cycle: invalidate the expression memo.
-    ++evalEpoch_;
-
-    // 1. Evaluate while conditions: while any holds, only loop bodies run
-    //    and the input token is not consumed.
-    bool while_active = false;
-    for (const auto &cond : flat_.whileConds)
-        while_active = while_active || eval(cond) != 0;
-
-    // 2. BRAM read accounting: at most one distinct address per BRAM.
-    std::vector<int64_t> read_addr(program_.brams.size(), -1);
-    for (const auto &occ : flat_.bramReads) {
-        if (!evalGate(occ.cond, occ.insideWhile, while_active))
-            continue;
-        const auto &bram = program_.bram(occ.bramId);
-        uint64_t addr = eval(occ.addr);
-        if (addr >= uint64_t(bram.elements)) {
-            violation("BRAM " + bram.name + " read address " +
-                      std::to_string(addr) + " out of range (" +
-                      std::to_string(bram.elements) + " elements)");
+      case LValue::Kind::VecElem: {
+        const auto &vreg = program.vreg(target.stateId);
+        index = slots_[op.b];
+        if (index >= target.elements) {
+            violation("vector register " + vreg.name + " write index " +
+                      std::to_string(index) + " out of range");
         }
-        if (read_addr[occ.bramId] >= 0 &&
-            read_addr[occ.bramId] != int64_t(addr)) {
+        uint32_t &written = vecWritten_[target.memBase + index];
+        if (written == epoch_) {
+            violation("vector register " + vreg.name + " element " +
+                      std::to_string(index) +
+                      " assigned twice in one virtual cycle");
+        }
+        written = epoch_;
+        break;
+      }
+      case LValue::Kind::BramElem: {
+        const auto &bram = program.bram(target.stateId);
+        index = slots_[op.b];
+        if (index >= target.elements) {
+            violation("BRAM " + bram.name + " write address " +
+                      std::to_string(index) + " out of range");
+        }
+        if (writeAddr_[target.stateId] >= 0) {
             violation("BRAM " + bram.name +
-                      " read at two addresses in one virtual cycle (" +
-                      std::to_string(read_addr[occ.bramId]) + " and " +
-                      std::to_string(addr) + ")");
+                      " written twice in one virtual cycle");
         }
-        read_addr[occ.bramId] = int64_t(addr);
-        if (prevWriteAddr_[occ.bramId] == int64_t(addr))
-            result.usedBramForwarding = true;
+        writeAddr_[target.stateId] = int64_t(index);
+        break;
+      }
     }
+    writes_.push_back({op.dst, index, truncTo(slots_[op.a], target.width)});
+}
 
-    // 3. Gather assignments (committed only at the end of the cycle).
-    struct PendingWrite
-    {
-        LValue::Kind kind;
-        int stateId;
-        uint64_t index;
-        uint64_t value;
-    };
-    std::vector<PendingWrite> writes;
-    std::vector<bool> reg_written(program_.regs.size(), false);
-    std::vector<int64_t> bram_write_addr(program_.brams.size(), -1);
-    // Vector-register elements allow concurrent writes to distinct
-    // elements; track (id, index) pairs.
-    std::vector<std::pair<int, uint64_t>> vreg_written;
+void
+FunctionalSimulator::fireEmit(const TapeOp &op, RunResult &result)
+{
+    if (emitted_)
+        violation("multiple emits in one virtual cycle");
+    setSignatureBit(tape_->flat.assigns.size() + op.dst);
+    emitted_ = true;
+    result.output.appendBits(slots_[op.a], tape_->program.outputTokenWidth);
+    ++result.emits;
+}
 
-    for (size_t a = 0; a < flat_.assigns.size(); ++a) {
-        const auto &assign = flat_.assigns[a];
-        if (!evalGate(assign.cond, assign.insideWhile, while_active))
-            continue;
-        if (signature)
-            (*signature)[a] = 1;
-        PendingWrite write;
-        write.kind = assign.target.kind;
-        write.stateId = assign.target.stateId;
-        write.index = 0;
-        switch (assign.target.kind) {
-          case LValue::Kind::Reg:
-            if (reg_written[write.stateId]) {
-                violation("register " + program_.reg(write.stateId).name +
-                          " assigned twice in one virtual cycle");
-            }
-            reg_written[write.stateId] = true;
+void
+FunctionalSimulator::execTape(RunResult &result)
+{
+    const TapeOp *ops = tape_->ops.data();
+    uint64_t *s = slots_.data();
+    const uint64_t *mem = mem_.data();
+    for (const TapeOp *op = ops;; ++op) {
+        switch (op->code) {
+#define FLEET_TAPE_BINOP(name)                                             \
+          case TapeOpcode::name:                                           \
+            s[op->dst] =                                                   \
+                applyBinOp<BinOp::name>(s[op->a], op->wa, s[op->b], op->wb); \
             break;
-          case LValue::Kind::VecElem: {
-            const auto &vreg = program_.vreg(write.stateId);
-            write.index = eval(assign.target.index);
-            if (write.index >= uint64_t(vreg.elements)) {
-                violation("vector register " + vreg.name + " write index " +
-                          std::to_string(write.index) + " out of range");
-            }
-            auto key = std::make_pair(write.stateId, write.index);
-            if (std::find(vreg_written.begin(), vreg_written.end(), key) !=
-                vreg_written.end()) {
-                violation("vector register " + vreg.name + " element " +
-                          std::to_string(write.index) +
-                          " assigned twice in one virtual cycle");
-            }
-            vreg_written.push_back(key);
+            FLEET_FOR_EACH_BINOP(FLEET_TAPE_BINOP)
+#undef FLEET_TAPE_BINOP
+#define FLEET_TAPE_UNOP(name)                                              \
+          case TapeOpcode::name:                                           \
+            s[op->dst] = applyUnOp<UnOp::name>(s[op->a], op->wa);         \
+            break;
+            FLEET_FOR_EACH_UNOP(FLEET_TAPE_UNOP)
+#undef FLEET_TAPE_UNOP
+          case TapeOpcode::Slice:
+            s[op->dst] = bitsOf(s[op->a], op->wa, op->wb);
+            break;
+          case TapeOpcode::Concat:
+            s[op->dst] = (s[op->a] << op->wb) | s[op->b];
+            break;
+          case TapeOpcode::Select:
+            s[op->dst] = s[op->c] ? s[op->a] : s[op->b];
+            break;
+          case TapeOpcode::Mov:
+            s[op->dst] = s[op->a];
+            break;
+          case TapeOpcode::Load: {
+            // Out-of-range reads return 0, matching the hardware mux
+            // tree's don't-care behaviour; gated BRAM reads are range
+            // checked by CheckRead.
+            const uint64_t index = s[op->a];
+            s[op->dst] = index < op->c ? mem[op->b + index] : 0;
             break;
           }
-          case LValue::Kind::BramElem: {
-            const auto &bram = program_.bram(write.stateId);
-            write.index = eval(assign.target.index);
-            if (write.index >= uint64_t(bram.elements)) {
-                violation("BRAM " + bram.name + " write address " +
-                          std::to_string(write.index) + " out of range");
-            }
-            if (bram_write_addr[write.stateId] >= 0) {
-                violation("BRAM " + bram.name +
-                          " written twice in one virtual cycle");
-            }
-            bram_write_addr[write.stateId] = int64_t(write.index);
+          case TapeOpcode::Jump:
+            op = ops + op->dst - 1;
             break;
-          }
+          case TapeOpcode::JumpIfZero:
+            if (s[op->a] == 0)
+                op = ops + op->dst - 1;
+            break;
+          case TapeOpcode::JumpIfNonZero:
+            if (s[op->a] != 0)
+                op = ops + op->dst - 1;
+            break;
+          case TapeOpcode::Guard:
+            if (done_[op->a] == epoch_)
+                op = ops + op->dst - 1;
+            else
+                done_[op->a] = epoch_;
+            break;
+          case TapeOpcode::CheckRead:
+            checkRead(*op, result);
+            break;
+          case TapeOpcode::Assign:
+            fireAssign(*op);
+            break;
+          case TapeOpcode::Emit:
+            fireEmit(*op, result);
+            break;
+          case TapeOpcode::End:
+            return;
         }
-        uint64_t value = eval(assign.value);
-        int target_width = 0;
-        switch (assign.target.kind) {
-          case LValue::Kind::Reg:
-            target_width = program_.reg(write.stateId).width;
-            break;
-          case LValue::Kind::VecElem:
-            target_width = program_.vreg(write.stateId).width;
-            break;
-          case LValue::Kind::BramElem:
-            target_width = program_.bram(write.stateId).width;
-            break;
-        }
-        write.value = truncTo(value, target_width);
-        writes.push_back(write);
     }
+}
 
-    // 4. Emits: at most one per virtual cycle.
-    bool emitted = false;
-    for (size_t m = 0; m < flat_.emits.size(); ++m) {
-        const auto &emit = flat_.emits[m];
-        if (!evalGate(emit.cond, emit.insideWhile, while_active))
-            continue;
-        if (emitted)
-            violation("multiple emits in one virtual cycle");
-        if (signature)
-            (*signature)[flat_.assigns.size() + m] = 1;
-        emitted = true;
-        result.output.appendBits(eval(emit.value),
-                                 program_.outputTokenWidth);
-        ++result.emits;
+bool
+FunctionalSimulator::runVcycle(RunResult &result)
+{
+    // New virtual cycle: bumping the epoch clears every tagged flag.
+    if (++epoch_ == 0) {
+        std::fill(done_.begin(), done_.end(), 0);
+        std::fill(regWritten_.begin(), regWritten_.end(), 0);
+        std::fill(vecWritten_.begin(), vecWritten_.end(), 0);
+        epoch_ = 1;
     }
+    std::fill(readAddr_.begin(), readAddr_.end(), -1);
+    std::fill(writeAddr_.begin(), writeAddr_.end(), -1);
+    std::fill(sigBits_.begin(), sigBits_.end(), 0);
+    writes_.clear();
+    emitted_ = false;
 
-    // 5. Commit.
-    for (const auto &write : writes) {
-        switch (write.kind) {
-          case LValue::Kind::Reg:
-            state_.regs[write.stateId] = write.value;
-            break;
-          case LValue::Kind::VecElem:
-            state_.vregs[write.stateId][write.index] = write.value;
-            break;
-          case LValue::Kind::BramElem:
-            state_.brams[write.stateId][write.index] = write.value;
-            break;
-        }
+    execTape(result);
+    // Read before the commit: the while slot may be a register.
+    const bool while_active = slots_[tape_->whileSlot] != 0;
+
+    // Commit: every write read pre-cycle state, so apply them only now.
+    for (const PendingWrite &write : writes_) {
+        const TapeAssign &target = tape_->assigns[write.assign];
+        if (target.kind == LValue::Kind::Reg)
+            slots_[target.stateId] = write.value;
+        else
+            mem_[target.memBase + write.index] = write.value;
     }
-    prevWriteAddr_ = bram_write_addr;
+    prevWriteAddr_.swap(writeAddr_);
 
     ++result.vcycles;
     if (options_.recordTrace) {
         uint8_t flags = 0;
         if (!while_active)
             flags |= kVcycleConsumesToken;
-        if (emitted)
+        if (emitted_)
             flags |= kVcycleEmits;
         result.trace.push_back(flags);
     }
@@ -293,33 +264,40 @@ FunctionalSimulator::runVcycle(RunResult &result,
 void
 FunctionalSimulator::beginStream(const BitBuffer &input)
 {
-    if (input.sizeBits() % program_.inputTokenWidth != 0) {
-        fatal(program_.name, ": input stream of ", input.sizeBits(),
-              " bits is not a whole number of ", program_.inputTokenWidth,
+    const lang::Program &program = tape_->program;
+    if (input.sizeBits() % program.inputTokenWidth != 0) {
+        fatal(program.name, ": input stream of ", input.sizeBits(),
+              " bits is not a whole number of ", program.inputTokenWidth,
               "-bit tokens");
     }
     reset();
     input_ = input;
-    tokenCount_ = input.sizeBits() / program_.inputTokenWidth;
+    tokenCount_ = input.sizeBits() / program.inputTokenWidth;
     result_ = RunResult();
     vcyclesThisToken_ = 0;
     if (tokenCount_ == 0) {
         phase_ = Phase::Cleanup;
         streamFinished_ = true;
-        currentToken_ = 0;
+        setCurrentToken(0);
     } else {
         phase_ = Phase::Tokens;
-        currentToken_ = input_.readBits(0, program_.inputTokenWidth);
+        setCurrentToken(input_.readBits(0, program.inputTokenWidth));
     }
 }
 
 uint8_t
 FunctionalSimulator::stepVcycle(std::vector<uint8_t> *signature)
 {
+    const lang::Program &program = tape_->program;
     if (phase_ == Phase::Done)
-        fatal(program_.name, ": stepVcycle after stream completion");
+        fatal(program.name, ": stepVcycle after stream completion");
     uint64_t emits_before = result_.emits;
-    bool consumed = runVcycle(result_, signature);
+    bool consumed = runVcycle(result_);
+    if (signature) {
+        signature->resize(tape_->numActions());
+        for (size_t a = 0; a < signature->size(); ++a)
+            (*signature)[a] = (sigBits_[a / 64] >> (a % 64)) & 1;
+    }
     uint8_t flags = 0;
     if (consumed)
         flags |= kVcycleConsumesToken;
@@ -328,7 +306,7 @@ FunctionalSimulator::stepVcycle(std::vector<uint8_t> *signature)
 
     if (!consumed) {
         if (++vcyclesThisToken_ > options_.maxVcyclesPerToken) {
-            fatal(program_.name, ": while loop exceeded ",
+            fatal(program.name, ": while loop exceeded ",
                   options_.maxVcyclesPerToken,
                   " virtual cycles for one token (infinite loop?)");
         }
@@ -339,15 +317,15 @@ FunctionalSimulator::stepVcycle(std::vector<uint8_t> *signature)
         ++result_.tokens;
         ++tokenIndex_;
         if (tokenIndex_ < tokenCount_) {
-            currentToken_ = input_.readBits(
-                tokenIndex_ * program_.inputTokenWidth,
-                program_.inputTokenWidth);
+            setCurrentToken(input_.readBits(
+                tokenIndex_ * program.inputTokenWidth,
+                program.inputTokenWidth));
         } else {
             // Stream-finished cleanup: the logic runs once more with a
             // dummy token, including any while iterations it triggers.
             phase_ = Phase::Cleanup;
             streamFinished_ = true;
-            currentToken_ = 0;
+            setCurrentToken(0);
         }
     } else {
         phase_ = Phase::Done;

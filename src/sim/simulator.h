@@ -5,15 +5,20 @@
  * @file
  * Functional ("software") simulator for Fleet programs, corresponding to
  * the software simulator of Sections 3 and 6 of the paper. It executes
- * virtual cycles directly on the AST with concurrent semantics, produces
- * the output token stream, and detects the dynamic restriction violations
- * the language imposes:
+ * virtual cycles with concurrent semantics, produces the output token
+ * stream, and detects the dynamic restriction violations the language
+ * imposes:
  *
  *  - more than one distinct BRAM read address per BRAM per virtual cycle,
  *  - more than one write per BRAM per virtual cycle,
  *  - more than one emit per virtual cycle,
  *  - more than one assignment to a register or vector element per cycle,
  *  - out-of-range BRAM/vector writes or gated BRAM reads.
+ *
+ * The program is lowered once into a sim::Tape (sim/tape.h) that every
+ * simulator of the program shares; a simulator holds only the mutable
+ * state (slots, memory, per-cycle flags) and runs the tape once per
+ * virtual cycle.
  *
  * It can also record a per-virtual-cycle trace (token consumed? token
  * emitted?) which the fast full-system PU timing model replays
@@ -23,11 +28,12 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "lang/ast.h"
-#include "lang/flatten.h"
+#include "sim/tape.h"
 #include "util/bitbuf.h"
 
 namespace fleet {
@@ -66,7 +72,11 @@ struct RunResult
 class FunctionalSimulator
 {
   public:
+    /** Compile `program` into a private tape. */
     explicit FunctionalSimulator(const lang::Program &program,
+                                 SimOptions options = {});
+    /** Run a tape shared with other simulators of the same program. */
+    explicit FunctionalSimulator(std::shared_ptr<const Tape> tape,
                                  SimOptions options = {});
 
     /**
@@ -89,40 +99,62 @@ class FunctionalSimulator
      * groups on. Returns the VcycleFlags of the cycle.
      */
     uint8_t stepVcycle(std::vector<uint8_t> *signature = nullptr);
+    /**
+     * The last cycle's signature as a bitset: bit i of word i / 64 is
+     * set iff action i executed. Same content as stepVcycle's bytes.
+     */
+    const std::vector<uint64_t> &signatureBits() const { return sigBits_; }
     /** Results accumulated since beginStream(). */
     const RunResult &partialResult() const { return result_; }
     /// @}
 
-    const lang::Program &program() const { return program_; }
-    const lang::FlatProgram &flat() const { return flat_; }
+    const lang::Program &program() const { return tape_->program; }
 
   private:
-    struct State
-    {
-        std::vector<uint64_t> regs;
-        std::vector<std::vector<uint64_t>> vregs;
-        std::vector<std::vector<uint64_t>> brams;
-    };
-
     enum class Phase { Tokens, Cleanup, Done };
 
+    /** One fired assignment, committed at the end of the cycle. */
+    struct PendingWrite
+    {
+        uint32_t assign;
+        uint64_t index;
+        uint64_t value;
+    };
+
     void reset();
-    uint64_t eval(const lang::Expr &e) const;
-    uint64_t evalUncached(const lang::Expr &e) const;
-    bool evalGate(const lang::Expr &cond, bool inside_while,
-                  bool while_active) const;
     /** Execute one virtual cycle; returns true if the token was consumed. */
-    bool runVcycle(RunResult &result, std::vector<uint8_t> *signature);
+    bool runVcycle(RunResult &result);
+    void execTape(RunResult &result);
+    void checkRead(const TapeOp &op, RunResult &result);
+    void fireAssign(const TapeOp &op);
+    void fireEmit(const TapeOp &op, RunResult &result);
+    void setSignatureBit(size_t action);
+    void setCurrentToken(uint64_t token);
     [[noreturn]] void violation(const std::string &message) const;
 
-    lang::Program program_;
-    lang::FlatProgram flat_;
+    std::shared_ptr<const Tape> tape_;
     SimOptions options_;
 
-    State state_;
-    uint64_t currentToken_ = 0;
+    // Program state: registers live in the tape's slots.
+    std::vector<uint64_t> slots_;
+    std::vector<uint64_t> mem_;
     bool streamFinished_ = false;
     uint64_t tokenIndex_ = 0;
+
+    // Per-virtual-cycle bookkeeping. Epoch-tagged arrays are "set this
+    // cycle" iff they hold the current epoch, so a cycle clears them by
+    // bumping the epoch.
+    uint32_t epoch_ = 0;
+    std::vector<uint32_t> done_;       ///< Per done flag.
+    std::vector<uint32_t> regWritten_; ///< Per register.
+    std::vector<uint32_t> vecWritten_; ///< Per vector-register element.
+    std::vector<int64_t> readAddr_;    ///< Per BRAM; -1 if not read.
+    std::vector<int64_t> writeAddr_;   ///< Per BRAM; -1 if not written.
+    /** BRAM addresses written by the previous virtual cycle, or -1. */
+    std::vector<int64_t> prevWriteAddr_;
+    std::vector<PendingWrite> writes_;
+    std::vector<uint64_t> sigBits_;
+    bool emitted_ = false;
 
     // Single-step stream state.
     BitBuffer input_;
@@ -130,19 +162,6 @@ class FunctionalSimulator
     Phase phase_ = Phase::Done;
     uint64_t vcyclesThisToken_ = 0;
     RunResult result_;
-
-    /** (bramId, addr) written by the previous virtual cycle, or addr==-1. */
-    std::vector<int64_t> prevWriteAddr_;
-
-    /**
-     * Per-virtual-cycle evaluation memo. Expressions are DAGs with heavy
-     * sharing (e.g. the Smith-Waterman row chain), so values are cached
-     * per node per virtual cycle; the epoch counter invalidates the cache
-     * without clearing it.
-     */
-    mutable std::vector<uint64_t> evalCache_;
-    mutable std::vector<uint64_t> evalEpochs_;
-    uint64_t evalEpoch_ = 1;
 };
 
 } // namespace sim

@@ -365,18 +365,20 @@ FleetSystem::build(int num_slots)
         shards_.push_back(std::move(shard));
     }
 
-    // Instantiate the processing units. Each hosted program's RTL is
-    // compiled exactly once (circuit, and for the tape engines the
-    // optimizer + tape) and shared by every slot bound to it. FastPu
-    // construction pre-runs the functional simulator over the unit's
-    // whole stream — the dominant construction cost — and units are
-    // independent, so build them on the worker pool (the shared tables
-    // below are finalized serially first). Session slots start with an
-    // empty stream; armJob re-targets the unit per job.
+    // Instantiate the processing units. Each hosted program is compiled
+    // exactly once per engine kind (the functional simulator's tape for
+    // FastPu; the circuit, and for the tape engines the optimizer + RTL
+    // tape) and shared by every slot bound to it. FastPu construction
+    // pre-runs the functional simulator over the unit's whole stream —
+    // the dominant construction cost — and units are independent, so
+    // build them on the worker pool (the shared tables below are
+    // finalized serially first). Session slots start with an empty
+    // stream; armJob re-targets the unit per job.
     std::vector<std::optional<compile::CompiledUnit>> compiled(
         programs_.size());
     std::vector<std::shared_ptr<const RtlTapeEngine>> engines(
         programs_.size());
+    std::vector<std::shared_ptr<const sim::Tape>> tapes(programs_.size());
     auto needCompiled = [&](uint32_t g) {
         if (!compiled[g])
             compiled[g].emplace(compile::compileProgram(programs_[g]));
@@ -399,6 +401,8 @@ FleetSystem::build(int num_slots)
         const uint32_t g = bindings_[p].program;
         switch (slotBackends_[p]) {
           case PuBackend::Fast:
+            if (!tapes[g])
+                tapes[g] = sim::Tape::compile(programs_[g]);
             break;
           case PuBackend::RtlInterp:
             needCompiled(g);
@@ -471,7 +475,7 @@ FleetSystem::build(int num_slots)
         switch (slotBackends_[p]) {
           case PuBackend::Fast:
             pus[p] = std::make_unique<FastPu>(
-                programs_[g], sessionMode_ ? BitBuffer{} : streams_[p]);
+                tapes[g], sessionMode_ ? BitBuffer{} : streams_[p]);
             break;
           case PuBackend::RtlInterp:
             pus[p] = std::make_unique<RtlPu>(*compiled[g]);

@@ -5,11 +5,18 @@
 namespace fleet {
 namespace system {
 
-FastPu::FastPu(const lang::Program &program, const BitBuffer &stream)
-    : inputTokenWidth_(program.inputTokenWidth),
-      outputTokenWidth_(program.outputTokenWidth), program_(&program)
+FastPu::FastPu(std::shared_ptr<const sim::Tape> tape,
+               const BitBuffer &stream)
+    : inputTokenWidth_(tape->program.inputTokenWidth),
+      outputTokenWidth_(tape->program.outputTokenWidth),
+      tape_(std::move(tape))
 {
     rearm(stream);
+}
+
+FastPu::FastPu(const lang::Program &program, const BitBuffer &stream)
+    : FastPu(sim::Tape::compile(program), stream)
+{
 }
 
 void
@@ -17,7 +24,7 @@ FastPu::rearm(const BitBuffer &stream)
 {
     sim::SimOptions options;
     options.recordTrace = true;
-    sim::FunctionalSimulator simulator(*program_, options);
+    sim::FunctionalSimulator simulator(tape_, options);
     result_ = simulator.run(stream);
     streamTokens_ = result_.tokens;
     reset();

@@ -13,6 +13,8 @@
  * simulation cost, enabling the full-system benchmark sweeps.
  */
 
+#include <memory>
+
 #include "lang/ast.h"
 #include "sim/simulator.h"
 #include "system/pu.h"
@@ -26,15 +28,18 @@ class FastPu : public ProcessingUnit
   public:
     /**
      * Pre-run the functional simulator on `stream` (the exact token
-     * stream this unit will be fed) and build the replay model.
+     * stream this unit will be fed) and build the replay model. One
+     * tape may serve every unit running the same program.
      */
+    FastPu(std::shared_ptr<const sim::Tape> tape, const BitBuffer &stream);
+    /** As above, compiling a private tape for `program`. */
     FastPu(const lang::Program &program, const BitBuffer &stream);
 
     /**
      * Re-target the replay model at a new stream (job runtime re-arm):
      * re-runs the functional simulator over `stream` and resets the
      * handshake state machine, exactly as constructing a fresh
-     * FastPu(program, stream) would — construction is just rearm() over
+     * FastPu(tape, stream) would — construction is just rearm() over
      * the first stream.
      */
     void rearm(const BitBuffer &stream);
@@ -52,8 +57,7 @@ class FastPu : public ProcessingUnit
   private:
     int inputTokenWidth_;
     int outputTokenWidth_;
-    /** Not owned; must outlive the unit (rearm() re-simulates it). */
-    const lang::Program *program_;
+    std::shared_ptr<const sim::Tape> tape_;
     sim::RunResult result_;
     uint64_t streamTokens_;
 

@@ -69,32 +69,89 @@ unOpWidth(UnOp op, int wa)
     return op == UnOp::LNot ? 1 : wa;
 }
 
+/**
+ * Value of one binary operator, chosen at compile time. This is the one
+ * definition of each operator's semantics: evalBinOp() dispatches to it
+ * at run time and the functional simulator's tape (sim/tape.h) bakes the
+ * operator into its opcode. Operands must already be masked.
+ */
+template <BinOp op>
+inline uint64_t
+applyBinOp(uint64_t a, int wa, uint64_t b, int wb)
+{
+    const int w = binOpWidth(op, wa, wb);
+    if constexpr (op == BinOp::Add)
+        return truncTo(a + b, w);
+    else if constexpr (op == BinOp::Sub)
+        return truncTo(a - b, w);
+    else if constexpr (op == BinOp::Mul)
+        return truncTo(a * b, w);
+    else if constexpr (op == BinOp::And)
+        return a & b;
+    else if constexpr (op == BinOp::Or)
+        return a | b;
+    else if constexpr (op == BinOp::Xor)
+        return a ^ b;
+    else if constexpr (op == BinOp::Shl)
+        return b >= uint64_t(w) ? 0 : truncTo(a << b, w);
+    else if constexpr (op == BinOp::Shr)
+        return b >= 64 ? 0 : truncTo(a >> b, w);
+    else if constexpr (op == BinOp::Eq)
+        return a == b;
+    else if constexpr (op == BinOp::Ne)
+        return a != b;
+    else if constexpr (op == BinOp::Ult)
+        return a < b;
+    else if constexpr (op == BinOp::Ule)
+        return a <= b;
+    else if constexpr (op == BinOp::Ugt)
+        return a > b;
+    else if constexpr (op == BinOp::Uge)
+        return a >= b;
+    else if constexpr (op == BinOp::Slt)
+        return signExtend64(a, wa) < signExtend64(b, wb);
+    else if constexpr (op == BinOp::Sle)
+        return signExtend64(a, wa) <= signExtend64(b, wb);
+    else if constexpr (op == BinOp::Sgt)
+        return signExtend64(a, wa) > signExtend64(b, wb);
+    else if constexpr (op == BinOp::Sge)
+        return signExtend64(a, wa) >= signExtend64(b, wb);
+    else if constexpr (op == BinOp::LAnd)
+        return (a != 0) && (b != 0);
+    else
+        return (a != 0) || (b != 0); // LOr
+}
+
+/** Value of one unary operator (see applyBinOp). */
+template <UnOp op>
+inline uint64_t
+applyUnOp(uint64_t a, int wa)
+{
+    if constexpr (op == UnOp::Not)
+        return truncTo(~a, wa);
+    else if constexpr (op == UnOp::LNot)
+        return a == 0;
+    else
+        return truncTo(~a + 1, wa); // Neg
+}
+
+/** X-macro over every BinOp, for switches that dispatch on the kind. */
+#define FLEET_FOR_EACH_BINOP(X)                                            \
+    X(Add) X(Sub) X(Mul) X(And) X(Or) X(Xor) X(Shl) X(Shr) X(Eq) X(Ne)    \
+    X(Ult) X(Ule) X(Ugt) X(Uge) X(Slt) X(Sle) X(Sgt) X(Sge) X(LAnd) X(LOr)
+
+/** X-macro over every UnOp. */
+#define FLEET_FOR_EACH_UNOP(X) X(Not) X(LNot) X(Neg)
+
 /** Evaluate a binary operator. Operands must already be masked. */
 inline uint64_t
 evalBinOp(BinOp op, uint64_t a, int wa, uint64_t b, int wb)
 {
-    int w = binOpWidth(op, wa, wb);
     switch (op) {
-      case BinOp::Add: return truncTo(a + b, w);
-      case BinOp::Sub: return truncTo(a - b, w);
-      case BinOp::Mul: return truncTo(a * b, w);
-      case BinOp::And: return a & b;
-      case BinOp::Or:  return a | b;
-      case BinOp::Xor: return a ^ b;
-      case BinOp::Shl: return b >= uint64_t(w) ? 0 : truncTo(a << b, w);
-      case BinOp::Shr: return b >= 64 ? 0 : truncTo(a >> b, w);
-      case BinOp::Eq:  return a == b;
-      case BinOp::Ne:  return a != b;
-      case BinOp::Ult: return a < b;
-      case BinOp::Ule: return a <= b;
-      case BinOp::Ugt: return a > b;
-      case BinOp::Uge: return a >= b;
-      case BinOp::Slt: return signExtend64(a, wa) < signExtend64(b, wb);
-      case BinOp::Sle: return signExtend64(a, wa) <= signExtend64(b, wb);
-      case BinOp::Sgt: return signExtend64(a, wa) > signExtend64(b, wb);
-      case BinOp::Sge: return signExtend64(a, wa) >= signExtend64(b, wb);
-      case BinOp::LAnd: return (a != 0) && (b != 0);
-      case BinOp::LOr:  return (a != 0) || (b != 0);
+#define FLEET_BINOP_CASE(name)                                             \
+      case BinOp::name: return applyBinOp<BinOp::name>(a, wa, b, wb);
+        FLEET_FOR_EACH_BINOP(FLEET_BINOP_CASE)
+#undef FLEET_BINOP_CASE
     }
     panic("evalBinOp: unknown op");
 }
@@ -104,9 +161,10 @@ inline uint64_t
 evalUnOp(UnOp op, uint64_t a, int wa)
 {
     switch (op) {
-      case UnOp::Not:  return truncTo(~a, wa);
-      case UnOp::LNot: return a == 0;
-      case UnOp::Neg:  return truncTo(~a + 1, wa);
+#define FLEET_UNOP_CASE(name)                                              \
+      case UnOp::name: return applyUnOp<UnOp::name>(a, wa);
+        FLEET_FOR_EACH_UNOP(FLEET_UNOP_CASE)
+#undef FLEET_UNOP_CASE
     }
     panic("evalUnOp: unknown op");
 }
