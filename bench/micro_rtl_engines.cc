@@ -236,8 +236,10 @@ evaluateApp(const apps::Application &app, int lanes, int cycles,
     r.optDeadNodes = tape_program->optDeadNodes;
 
     // Native JIT compile (timed separately from steady-state eval).
+    // Kernels run whole vectors only, so the group is compiled and
+    // batched padded to them, as FleetSystem builds it (rtl/jit.h).
     rtl::JitOptions jopts;
-    jopts.lanes = lanes;
+    jopts.lanes = rtl::JitProgram::paddedLanes(*tape_program, lanes);
     Status jit_status;
     double c0 = now();
     auto jit = rtl::JitProgram::compile(*tape_program, jopts,
@@ -268,10 +270,11 @@ evaluateApp(const apps::Application &app, int lanes, int cycles,
         r.equivalent = h_lanes[l] == drive(replay, st, seed + l,
                                            check_cycles);
     }
-    rtl::BatchSimulator jbatch(tape_program, lanes);
+    rtl::BatchSimulator jbatch(tape_program, jopts.lanes);
     if (jit) {
         jbatch.attachJit(jit);
         auto h_jit = driveBatch(jbatch, st, seed, check_cycles);
+        h_jit.resize(size_t(lanes));
         r.equivalent = r.equivalent && h_jit == h_lanes;
     }
 

@@ -427,9 +427,7 @@ FleetSystem::build(int num_slots)
                            const std::vector<int> &globals,
                            std::shared_ptr<const rtl::JitProgram> jit) {
         auto batch = std::make_shared<RtlBatch>(
-            engines[g], static_cast<int>(globals.size()));
-        if (jit)
-            batch->attachJit(std::move(jit));
+            engines[g], static_cast<int>(globals.size()), std::move(jit));
         std::vector<int> locals;
         locals.reserve(globals.size());
         for (size_t lane = 0; lane < globals.size(); ++lane) {
@@ -451,8 +449,11 @@ FleetSystem::build(int num_slots)
     std::vector<char> jitFallbackLogged(programs_.size(), 0);
     for (int ch = 0; ch < channels; ++ch) {
         for (auto &[g, globals] : jitGroups[ch]) {
+            // Whole vectors only (rtl/jit.h): the batch is padded with
+            // undriven lanes up to the kernel's width.
             rtl::JitOptions jopts;
-            jopts.lanes = static_cast<int>(globals.size());
+            jopts.lanes = rtl::JitProgram::paddedLanes(
+                *engines[g]->tape(), static_cast<int>(globals.size()));
             Status jit_status;
             auto jit = rtl::JitProgram::compile(*engines[g]->tape(),
                                                 jopts, &jit_status);

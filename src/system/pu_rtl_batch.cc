@@ -1,5 +1,8 @@
 #include "system/pu_rtl_batch.h"
 
+#include "rtl/jit.h"
+#include "util/logging.h"
+
 namespace fleet {
 namespace system {
 
@@ -70,9 +73,16 @@ TapeRtlPu::appendCounters(trace::CounterSet &out) const
     engine_->appendCounters(out, 1);
 }
 
-RtlBatch::RtlBatch(std::shared_ptr<const RtlTapeEngine> engine, int lanes)
-    : engine_(std::move(engine)), sim_(engine_->tape(), lanes)
+RtlBatch::RtlBatch(std::shared_ptr<const RtlTapeEngine> engine, int lanes,
+                   std::shared_ptr<const rtl::JitProgram> jit)
+    : engine_(std::move(engine)), lanes_(lanes),
+      sim_(engine_->tape(), jit ? jit->lanes() : lanes)
 {
+    if (sim_.lanes() < lanes_)
+        panic("system: jit kernel has ", sim_.lanes(), " lanes for ",
+              lanes_, " PUs");
+    if (jit)
+        sim_.attachJit(std::move(jit));
 }
 
 void

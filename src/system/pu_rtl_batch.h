@@ -84,17 +84,18 @@ class TapeRtlPu : public ProcessingUnit
 class RtlBatch
 {
   public:
-    RtlBatch(std::shared_ptr<const RtlTapeEngine> engine, int lanes);
+    /**
+     * `lanes` PUs. With a native kernel (rtl/jit.h) the simulator is
+     * jit->lanes() wide — JitProgram::paddedLanes(tape, lanes), a whole
+     * number of the kernel's vectors — and the lanes past `lanes` are
+     * never driven; see rtl::BatchSimulator::attachJit.
+     */
+    RtlBatch(std::shared_ptr<const RtlTapeEngine> engine, int lanes,
+             std::shared_ptr<const rtl::JitProgram> jit = nullptr);
 
-    int lanes() const { return sim_.lanes(); }
+    /** PU lanes, excluding any jit padding. */
+    int lanes() const { return lanes_; }
     const RtlTapeEngine &engine() const { return *engine_; }
-
-    /** Attach a native kernel for this group (rtl/jit.h); see
-     * rtl::BatchSimulator::attachJit for the matching contract. */
-    void attachJit(std::shared_ptr<const rtl::JitProgram> jit)
-    {
-        sim_.attachJit(std::move(jit));
-    }
     bool jitAttached() const { return sim_.jitAttached(); }
 
     void setLaneInputs(int lane, const PuInputs &in);
@@ -110,6 +111,7 @@ class RtlBatch
 
   private:
     std::shared_ptr<const RtlTapeEngine> engine_;
+    int lanes_;
     rtl::BatchSimulator sim_;
 };
 
