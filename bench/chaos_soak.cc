@@ -378,7 +378,7 @@ main(int argc, char **argv)
     // Determinism variants replayed against the Fast/1 reference for
     // every seed. RtlInterp is the slow reference engine; the full run
     // covers it, smoke keeps CI latency down with the other four
-    // (rtljit silently demotes to rtltape when no host compiler is
+    // (rtljit silently demotes to rtl when no host compiler is
     // available — the determinism fence holds either way).
     struct Variant
     {
@@ -394,7 +394,7 @@ main(int argc, char **argv)
     std::vector<Variant> variants = {
         makeVariant(system::PuBackend::Fast, 4),
         makeVariant(system::PuBackend::Rtl, 4),
-        makeVariant(system::PuBackend::RtlTape, 1),
+        makeVariant(system::PuBackend::Rtl, 1),
         makeVariant(system::PuBackend::RtlJit, 2),
     };
     if (!opts.smoke)

@@ -40,7 +40,7 @@
  *                    exact match required (the simulator is
  *                    deterministic), nonzero exit on drift.
  *  --threads N       host worker threads (0 = one per hardware thread).
- *  --backend B       fast | rtl | rtltape | rtlinterp | rtljit
+ *  --backend B       fast | rtl | rtlinterp | rtljit
  *                    (system/pu_backend.h; rtl* are cycle-accurate).
  *  --faults SEED     run every load point under the FaultPlan storm
  *                    keyed by SEED with the recovery stack armed

@@ -27,7 +27,7 @@ namespace {
 
 /** Bumping this invalidates every cached artifact (the key mixes it
  * in), so emitter changes can never resurrect a stale .so. */
-constexpr uint64_t kEmitterVersion = 6;
+constexpr uint64_t kEmitterVersion = 7;
 constexpr int kJitAbi = 1;
 
 /**
@@ -329,7 +329,7 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
     out << "/* Generated by the fleet rtl jit emitter (rtl/jit.cc), "
            "version "
         << kEmitterVersion << ".\n"
-        << " * Semantics mirror rtl::evalTapeOps / TapeSimulator::step\n"
+        << " * Semantics mirror rtl::evalTapeOps / BatchSimulator::step\n"
         << " * bit for bit; lanes = " << lanes << ", elem = " << EB
         << " bits. Do not edit. */\n"
         << "#include <stdint.h>\n"
@@ -558,7 +558,7 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
     }
     out << "}\n\n";
 
-    // ----- Clock edge: the exact TapeSimulator::step() commit order —
+    // ----- Clock edge: the exact BatchSimulator::step() commit order —
     // BRAM read-first latches and writes, register commits (reading
     // pre-edge slot values), then publish latches and register outputs.
     //

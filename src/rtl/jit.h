@@ -58,8 +58,8 @@
  * fall back to a fresh compile. Compilation is best-effort by design:
  * every failure path (FLEET_JIT_DISABLE=1, no toolchain, compile or
  * dlopen error) returns a Status instead of throwing, and the system
- * layer (system/fleet_system.cc) degrades the slot to the RtlTape
- * interpreter with a structured log line.
+ * layer (system/fleet_system.cc) builds the group as a plain
+ * interpreted Rtl batch instead, with a structured log line.
  *
  * Environment knobs:
  *   FLEET_JIT_DISABLE    nonempty & != "0": report unavailable.
@@ -159,7 +159,7 @@ class JitProgram
     /**
      * Clock edge for lanes [lane_lo, lane_hi), a whole number of
      * vectors (panics otherwise): BRAM read-first latches + writes,
-     * register commits, then publish — the exact TapeSimulator::step()
+     * register commits, then publish — the exact BatchSimulator::step()
      * ordering. `bram_mems[i]` is BRAM i's SoA array
      * ([addr * lanes + lane]).
      */

@@ -41,14 +41,14 @@ enum class PuBackend
     Rtl,  ///< Compiled RTL: optimizer + op tape, evaluated batched
           ///< (structure-of-arrays) across each channel's PUs. The
           ///< default cycle-accurate backend.
-    RtlTape,   ///< Compiled RTL, one scalar tape evaluator per PU.
     RtlInterp, ///< Per-node RTL interpreter (the reference engine).
     RtlJit, ///< Compiled RTL lowered to native code (rtl/jit.h): each
             ///< channel's PU population runs a shared-object kernel
             ///< generated and compiled at construction (arm) time,
-            ///< bit-identical to Rtl/RtlTape/RtlInterp. Falls back to
-            ///< RtlTape per slot when no host toolchain is available
-            ///< (slotBackend() reports the backend actually used).
+            ///< bit-identical to Rtl/RtlInterp. A group whose kernel
+            ///< cannot be built (no host toolchain, FLEET_JIT_DISABLE)
+            ///< runs as a plain Rtl batch instead (slotBackend()
+            ///< reports the backend actually used).
 };
 
 /**
@@ -66,7 +66,7 @@ struct SlotBinding
     /**
      * Placement-lane label the scheduler's JobTag::preferredLane hints
      * match against (e.g. lane 0 = latency-critical Fast slots, lane 1
-     * = audit RtlTape slots). Never inspected by the simulator itself.
+     * = audit Rtl slots). Never inspected by the simulator itself.
      */
     int lane = 0;
     /** Per-slot backend; empty = SystemConfig::backend. */

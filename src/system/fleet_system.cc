@@ -388,15 +388,15 @@ FleetSystem::build(int num_slots)
             engines[g] =
                 std::make_shared<const RtlTapeEngine>(programs_[g]);
     };
-    // Group the SoA-batched slots by (channel, program): one RtlBatch
-    // per group, attached with the channel-local lanes it drives. A
-    // single-program all-Rtl session degenerates to the legacy one
-    // whole-channel batch. RtlJit groups identically — the native
-    // kernel rides inside the group's BatchSimulator — but is kept in
-    // its own group map so a mixed Rtl + RtlJit binding never silently
-    // upgrades the interpreter slots.
-    std::vector<std::map<uint32_t, std::vector<int>>> rtlGroups(channels);
-    std::vector<std::map<uint32_t, std::vector<int>>> jitGroups(channels);
+    // Group the SoA-batched slots by (channel, jit, program): one
+    // RtlBatch per group, attached with the channel-local lanes it
+    // drives. A single-program all-Rtl session degenerates to the legacy
+    // one whole-channel batch. RtlJit groups identically — the native
+    // kernel rides inside the group's BatchSimulator — but keyed apart
+    // so a mixed Rtl + RtlJit binding never silently upgrades the
+    // interpreter slots.
+    std::vector<std::map<std::pair<bool, uint32_t>, std::vector<int>>>
+        groups(channels);
     for (int p = 0; p < num_slots; ++p) {
         const uint32_t g = bindings_[p].program;
         switch (slotBackends_[p]) {
@@ -407,67 +407,59 @@ FleetSystem::build(int num_slots)
           case PuBackend::RtlInterp:
             needCompiled(g);
             break;
-          case PuBackend::RtlTape:
-            needEngine(g);
-            break;
           case PuBackend::Rtl:
+          case PuBackend::RtlJit: {
             needEngine(g);
-            rtlGroups[puShard_[p]][g].push_back(p);
+            const bool jit = slotBackends_[p] == PuBackend::RtlJit;
+            groups[puShard_[p]][{jit, g}].push_back(p);
             break;
-          case PuBackend::RtlJit:
-            needEngine(g);
-            jitGroups[puShard_[p]][g].push_back(p);
-            break;
+          }
         }
     }
     // Per-slot (batch, lane-in-batch) for RtlBatchLane construction.
+    // Jit kernels are compiled at arm time: one per (program, lane
+    // count), deduplicated across channels by the in-process registry
+    // and across processes by the on-disk artifact cache. The batch is
+    // padded with undriven lanes up to the kernel's whole vectors
+    // (rtl/jit.h). Compilation is best-effort: any failure
+    // (FLEET_JIT_DISABLE, no toolchain, compile/dlopen error) builds the
+    // group as a plain interpreted Rtl batch with one structured log
+    // line per program — never an abort — and slotBackend() reports the
+    // demotion.
     std::vector<std::pair<std::shared_ptr<RtlBatch>, int>> slotBatch(
         num_slots);
-    auto attachGroup = [&](int ch, uint32_t g,
-                           const std::vector<int> &globals,
-                           std::shared_ptr<const rtl::JitProgram> jit) {
-        auto batch = std::make_shared<RtlBatch>(
-            engines[g], static_cast<int>(globals.size()), std::move(jit));
-        std::vector<int> locals;
-        locals.reserve(globals.size());
-        for (size_t lane = 0; lane < globals.size(); ++lane) {
-            locals.push_back(puLocal_[globals[lane]]);
-            slotBatch[globals[lane]] = {batch, static_cast<int>(lane)};
-        }
-        shards_[ch]->attachBatch(std::move(batch), std::move(locals));
-    };
-    for (int ch = 0; ch < channels; ++ch)
-        for (auto &[g, globals] : rtlGroups[ch])
-            attachGroup(ch, g, globals, nullptr);
-    // Arm-time native compilation (ISSUE 9): one kernel per
-    // (program, lane count), deduplicated across channels by the
-    // in-process registry and across processes by the on-disk artifact
-    // cache. Compilation is best-effort: any failure (FLEET_JIT_DISABLE,
-    // no toolchain, compile/dlopen error) demotes the group to the
-    // scalar tape interpreter with one structured log line per program
-    // — never an abort — and slotBackend() reports the demotion.
     std::vector<char> jitFallbackLogged(programs_.size(), 0);
     for (int ch = 0; ch < channels; ++ch) {
-        for (auto &[g, globals] : jitGroups[ch]) {
-            // Whole vectors only (rtl/jit.h): the batch is padded with
-            // undriven lanes up to the kernel's width.
-            rtl::JitOptions jopts;
-            jopts.lanes = rtl::JitProgram::paddedLanes(
-                *engines[g]->tape(), static_cast<int>(globals.size()));
-            Status jit_status;
-            auto jit = rtl::JitProgram::compile(*engines[g]->tape(),
-                                                jopts, &jit_status);
-            if (jit) {
-                attachGroup(ch, g, globals, std::move(jit));
-                continue;
+        for (auto &[key, globals] : groups[ch]) {
+            const auto [want_jit, g] = key;
+            std::shared_ptr<const rtl::JitProgram> jit;
+            if (want_jit) {
+                rtl::JitOptions jopts;
+                jopts.lanes = rtl::JitProgram::paddedLanes(
+                    *engines[g]->tape(), static_cast<int>(globals.size()));
+                Status jit_status;
+                jit = rtl::JitProgram::compile(*engines[g]->tape(), jopts,
+                                               &jit_status);
+                if (!jit) {
+                    if (!jitFallbackLogged[g]) {
+                        jitFallbackLogged[g] = 1;
+                        inform("rtl-jit: fallback backend=rtl program=", g,
+                               " reason=", jit_status.toString());
+                    }
+                    for (int p : globals)
+                        slotBackends_[p] = PuBackend::Rtl;
+                }
             }
-            if (!jitFallbackLogged[g]) {
-                jitFallbackLogged[g] = 1;
-                inform("rtl-jit: fallback backend=rtltape program=", g,
-                       " reason=", jit_status.toString());
+            auto batch = std::make_shared<RtlBatch>(
+                engines[g], static_cast<int>(globals.size()),
+                std::move(jit));
+            std::vector<int> locals;
+            locals.reserve(globals.size());
+            for (size_t lane = 0; lane < globals.size(); ++lane) {
+                locals.push_back(puLocal_[globals[lane]]);
+                slotBatch[globals[lane]] = {batch, static_cast<int>(lane)};
             }
-            for (int p : globals)
-                slotBackends_[p] = PuBackend::RtlTape;
+            shards_[ch]->attachBatch(std::move(batch), std::move(locals));
         }
     }
     std::vector<std::unique_ptr<ProcessingUnit>> pus(num_slots);
@@ -480,9 +472,6 @@ FleetSystem::build(int num_slots)
             break;
           case PuBackend::RtlInterp:
             pus[p] = std::make_unique<RtlPu>(*compiled[g]);
-            break;
-          case PuBackend::RtlTape:
-            pus[p] = std::make_unique<TapeRtlPu>(engines[g]);
             break;
           case PuBackend::Rtl:
           case PuBackend::RtlJit:

@@ -251,9 +251,10 @@ TEST(RtlJitFallback, MissingCompilerFailsWithStatusNotAbort)
 }
 
 /** The system-level contract for the FLEET_JIT_DISABLE CI leg: a
- * RtlJit binding silently runs on the RtlTape interpreter, with
- * correct outputs and slotBackend() reporting the demotion. */
-TEST(RtlJitFallback, SystemDemotesToRtlTapeAndStillCompletes)
+ * RtlJit binding silently runs as the interpreted Rtl batch — each
+ * channel's PUs still one batch group — with slotBackend() reporting
+ * the demotion and a RunReport identical to an Rtl run's. */
+TEST(RtlJitFallback, SystemDemotesToRtlAndStillCompletes)
 {
     ScopedEnv disable("FLEET_JIT_DISABLE", "1");
     lang::Program program = testprogs::streamSum();
@@ -266,21 +267,55 @@ TEST(RtlJitFallback, SystemDemotesToRtlTapeAndStillCompletes)
         streams.push_back(std::move(stream));
     }
 
-    system::SystemConfig config;
-    config.numChannels = 2;
-    config.backend = system::PuBackend::RtlJit;
-    system::FleetSystem system(program, config, streams);
-    ASSERT_TRUE(system.run().allOk());
+    auto config = [](system::PuBackend backend) {
+        system::SystemConfig c;
+        c.numChannels = 2;
+        c.backend = backend;
+        c.trace.counters = true;
+        return c;
+    };
+    testing::internal::CaptureStderr();
+    system::FleetSystem system(program,
+                               config(system::PuBackend::RtlJit), streams);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("rtl-jit: fallback backend=rtl program=0"),
+              std::string::npos)
+        << log;
+    const system::RunReport &report = system.run();
+    ASSERT_TRUE(report.allOk());
     for (int p = 0; p < int(streams.size()); ++p)
-        EXPECT_EQ(system.slotBackend(p), system::PuBackend::RtlTape)
+        EXPECT_EQ(system.slotBackend(p), system::PuBackend::Rtl)
             << "PU " << p << " should have been demoted";
+
+    system::FleetSystem rtl(program, config(system::PuBackend::Rtl),
+                            streams);
+    const system::RunReport &rtl_report = rtl.run();
+    ASSERT_TRUE(rtl_report.allOk());
+    EXPECT_EQ(system.stats().cycles, rtl.stats().cycles);
+    EXPECT_TRUE(report == rtl_report)
+        << "demoted RunReport (traces included) differs from Rtl's";
 
     sim::FunctionalSimulator functional(program);
     for (size_t p = 0; p < streams.size(); ++p) {
         sim::RunResult golden = functional.run(streams[p]);
         ASSERT_TRUE(system.output(p) == golden.output)
             << "PU " << p << " output mismatch under jit fallback";
+        ASSERT_TRUE(system.output(p) == rtl.output(p)) << "PU " << p;
     }
+
+    // Batched, not per-PU: every demoted unit reports its channel's
+    // whole group as the batch width, and none claims the jit.
+    ASSERT_NE(report.trace, nullptr);
+    int pu_sets = 0;
+    for (const auto &channel : report.trace->channels)
+        for (const auto &set : channel.counters) {
+            if (!set.has("batch_width"))
+                continue;
+            ++pu_sets;
+            EXPECT_EQ(set.get("batch_width"), 2u) << set.name;
+            EXPECT_FALSE(set.has("backend_rtl_jit")) << set.name;
+        }
+    EXPECT_EQ(pu_sets, int(streams.size()));
 }
 
 TEST(RtlJitEmit, SourceIsDeterministic)

@@ -15,9 +15,10 @@
  * (ISSUE 4). The optimizer (rtl/opt.h) may only rewrite a circuit into
  * one with identical observable behaviour: every output, register, and
  * BRAM word must match the unoptimized interpreter cycle for cycle. The
- * same random circuits double as an equivalence suite for the tape and
- * batched evaluators, independent of the compiler front end feeding
- * them processing-unit circuits.
+ * same random circuits double as an equivalence suite for the batched
+ * tape evaluator (optimized and unoptimized tapes, whole-batch and
+ * standalone-lane paths), independent of the compiler front end feeding
+ * it processing-unit circuits.
  */
 
 namespace fleet {
@@ -29,7 +30,6 @@ using rtl::NodeId;
 using rtl::OptResult;
 using rtl::Simulator;
 using rtl::TapeProgram;
-using rtl::TapeSimulator;
 
 /** Random well-formed circuit: a node soup over a few inputs, registers,
  * and BRAMs, with constants mixed in to give the folder something to do,
@@ -158,8 +158,39 @@ randomCircuit(uint64_t seed)
     return c;
 }
 
+/**
+ * One lane of a BatchSimulator driven standalone (evalLane/stepLane —
+ * the single-lane tape evaluator a lone RtlBatchLane runs on), behind
+ * the rtl::Simulator cycle contract so lockstep() can drive it. The
+ * batch has idle lanes either side, so slot striding is exercised.
+ */
+class StandaloneLane
+{
+  public:
+    StandaloneLane(const Circuit &circuit, bool optimize)
+        : batch_(std::make_shared<const TapeProgram>(
+                     TapeProgram::compile(circuit, optimize)),
+                 3)
+    {
+    }
+    void reset() { batch_.resetLane(kLane); }
+    void setInput(int port, uint64_t v) { batch_.setInput(kLane, port, v); }
+    void evalComb() { batch_.evalLane(kLane); }
+    uint64_t value(NodeId node) const { return batch_.value(kLane, node); }
+    void step() { batch_.stepLane(kLane); }
+    uint64_t regValue(int reg) const { return batch_.regValue(kLane, reg); }
+    uint64_t bramWord(int bram, int addr) const
+    {
+        return batch_.bramWord(kLane, bram, addr);
+    }
+
+  private:
+    static constexpr int kLane = 1;
+    BatchSimulator batch_;
+};
+
 /** Drive `cycles` cycles of common random input through both simulators
- * (templated so Simulator/TapeSimulator mix freely), comparing every
+ * (templated so Simulator/StandaloneLane mix freely), comparing every
  * output each cycle and the full architectural state at the end. */
 template <typename SimA, typename SimB>
 void
@@ -198,56 +229,14 @@ lockstep(const Circuit &ca, SimA &sa, const Circuit &cb, SimB &sb,
                 << " addr " << addr;
 }
 
-class RtlOptRandom : public ::testing::TestWithParam<uint64_t>
+/** Each lane runs an independent random input sequence; every lane
+ * must match its own interpreter exactly even though all lanes advance
+ * through one evalAll()/step() pair per cycle. Outputs are compared
+ * every cycle, registers and BRAM words at the end. */
+void
+checkBatchLanes(const Circuit &source,
+                std::shared_ptr<const TapeProgram> program, uint64_t seed)
 {
-};
-
-TEST_P(RtlOptRandom, OptimizerPreservesObservableBehaviour)
-{
-    uint64_t seed = GetParam();
-    Circuit source = randomCircuit(seed);
-    size_t source_nodes = source.nodes().size();
-
-    OptResult opt = rtl::optimize(source);
-    // The source circuit is read-only to the optimizer (Verilog and area
-    // accounting keep reading it).
-    EXPECT_EQ(source.nodes().size(), source_nodes);
-    EXPECT_EQ(opt.stats.sourceNodes, source_nodes);
-    EXPECT_EQ(opt.stats.resultNodes, opt.circuit.nodes().size());
-
-    Simulator golden(source);
-    Simulator optimized(opt.circuit);
-    lockstep(source, golden, opt.circuit, optimized, seed * 31 + 7, 300);
-}
-
-TEST_P(RtlOptRandom, TapeMatchesInterpreter)
-{
-    uint64_t seed = GetParam();
-    Circuit source = randomCircuit(seed);
-    Simulator golden(source);
-    TapeSimulator tape(source);
-    lockstep(source, golden, source, tape, seed * 37 + 5, 300);
-}
-
-TEST_P(RtlOptRandom, UnoptimizedTapeMatchesInterpreter)
-{
-    uint64_t seed = GetParam();
-    Circuit source = randomCircuit(seed);
-    Simulator golden(source);
-    TapeSimulator tape(source, /*optimize=*/false);
-    lockstep(source, golden, source, tape, seed * 41 + 3, 200);
-}
-
-TEST_P(RtlOptRandom, BatchLanesMatchInterpreter)
-{
-    uint64_t seed = GetParam();
-    Circuit source = randomCircuit(seed);
-    auto program = std::make_shared<const TapeProgram>(
-        TapeProgram::compile(source));
-
-    // Each lane runs an independent random input sequence; every lane
-    // must match its own scalar interpreter exactly even though all
-    // lanes advance through one evalAll()/step() pair per cycle.
     constexpr int kLanes = 5;
     BatchSimulator batch(program, kLanes);
     std::vector<std::unique_ptr<Simulator>> refs;
@@ -291,6 +280,62 @@ TEST_P(RtlOptRandom, BatchLanesMatchInterpreter)
                 ASSERT_EQ(batch.bramWord(l, static_cast<int>(b), addr),
                           refs[l]->bramWord(static_cast<int>(b), addr))
                     << "seed " << seed << " lane " << l;
+    }
+}
+
+class RtlOptRandom : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(RtlOptRandom, OptimizerPreservesObservableBehaviour)
+{
+    uint64_t seed = GetParam();
+    Circuit source = randomCircuit(seed);
+    size_t source_nodes = source.nodes().size();
+
+    OptResult opt = rtl::optimize(source);
+    // The source circuit is read-only to the optimizer (Verilog and area
+    // accounting keep reading it).
+    EXPECT_EQ(source.nodes().size(), source_nodes);
+    EXPECT_EQ(opt.stats.sourceNodes, source_nodes);
+    EXPECT_EQ(opt.stats.resultNodes, opt.circuit.nodes().size());
+
+    Simulator golden(source);
+    Simulator optimized(opt.circuit);
+    lockstep(source, golden, opt.circuit, optimized, seed * 31 + 7, 300);
+}
+
+TEST_P(RtlOptRandom, TapeMatchesInterpreter)
+{
+    uint64_t seed = GetParam();
+    Circuit source = randomCircuit(seed);
+    Simulator golden(source);
+    StandaloneLane tape(source, /*optimize=*/true);
+    lockstep(source, golden, source, tape, seed * 37 + 5, 300);
+}
+
+TEST_P(RtlOptRandom, UnoptimizedTapeMatchesInterpreter)
+{
+    uint64_t seed = GetParam();
+    Circuit source = randomCircuit(seed);
+    Simulator golden(source);
+    StandaloneLane tape(source, /*optimize=*/false);
+    lockstep(source, golden, source, tape, seed * 41 + 3, 200);
+}
+
+TEST_P(RtlOptRandom, BatchLanesMatchInterpreter)
+{
+    uint64_t seed = GetParam();
+    Circuit source = randomCircuit(seed);
+    // The optimized tape is what the system runs; the unoptimized one
+    // keeps the tape compiler itself honest on circuits the optimizer
+    // has not cleaned (every node kind, no folding or DCE).
+    for (bool optimize : {true, false}) {
+        SCOPED_TRACE(optimize ? "optimized tape" : "unoptimized tape");
+        checkBatchLanes(source,
+                        std::make_shared<const TapeProgram>(
+                            TapeProgram::compile(source, optimize)),
+                        seed);
     }
 }
 

@@ -234,8 +234,8 @@ TEST(RuntimeSession, BitIdenticalAcrossBackendsAndThreadCounts)
 {
     // The acceptance fence: the same job mix must produce *identical*
     // JobReports — outputs, cycles, stall counters — on the fast
-    // model, the scalar RTL tape, and the batched RTL engine, at 1 and
-    // 4 host threads. Six full runs compared field by field.
+    // model and the batched RTL engine, at 1 and 4 host threads. Four
+    // full runs compared field by field.
     auto program = testprogs::blockFrequencies(32);
     Rng rng(77);
     std::vector<BitBuffer> streams;
@@ -264,8 +264,6 @@ TEST(RuntimeSession, BitIdenticalAcrossBackendsAndThreadCounts)
     };
     const Variant variants[] = {
         {system::PuBackend::Fast, 4, "Fast/4"},
-        {system::PuBackend::RtlTape, 1, "RtlTape/1"},
-        {system::PuBackend::RtlTape, 4, "RtlTape/4"},
         {system::PuBackend::Rtl, 1, "RtlBatch/1"},
         {system::PuBackend::Rtl, 4, "RtlBatch/4"},
     };

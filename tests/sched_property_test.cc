@@ -5,7 +5,7 @@
  *
  *  1. *Schedule determinism*: for every policy, the job→slot schedule,
  *     the JobReports, and the settled RunReport (traces included) are
- *     bit-identical across PU backends ({Fast, RtlTape}) and host
+ *     bit-identical across PU backends ({Fast, Rtl}) and host
  *     thread counts ({1, N}).
  *  2. *Work conservation*: after any scheduler round, no parked live
  *     slot coexists with a queued job its program binding could run —
@@ -240,7 +240,7 @@ TEST(SchedProperty, ScheduleBitIdenticalAcrossBackendsAndThreads)
     // The tentpole fence: for every policy, the same tagged mix must
     // produce identical JobReports (schedule, cycles, outputs, tenant
     // stamps) and an identical settled RunReport on the fast model and
-    // the scalar RTL tape, at 1 and 4 host threads.
+    // the batched RTL engine, at 1 and 4 host threads.
     auto program = testprogs::blockFrequencies(32);
     const SchedulerPolicy policies[] = {
         SchedulerPolicy::Fifo, SchedulerPolicy::Priority,
@@ -282,8 +282,8 @@ TEST(SchedProperty, ScheduleBitIdenticalAcrossBackendsAndThreads)
         };
         const Variant variants[] = {
             {system::PuBackend::Fast, 4, "Fast/4"},
-            {system::PuBackend::RtlTape, 1, "RtlTape/1"},
-            {system::PuBackend::RtlTape, 4, "RtlTape/4"},
+            {system::PuBackend::Rtl, 1, "Rtl/1"},
+            {system::PuBackend::Rtl, 4, "Rtl/4"},
         };
         for (const Variant &variant : variants) {
             auto [reports, run_report] =
@@ -480,16 +480,17 @@ TEST(MultiProgram, PlacementHintsSteerButNeverIdleSlots)
 
 TEST(MultiProgram, MixedBackendsPerSlotStayBitIdentical)
 {
-    // Placement the issue asks for: latency lanes on the Fast backend,
-    // audit lanes on the scalar RTL tape — in one session. Outputs
-    // still match the functional golden, and the whole schedule is
-    // invariant to host thread count.
+    // Latency lanes on the Fast backend, audit lanes on the batched RTL
+    // engine — in one session, so the Rtl slots of a channel form one
+    // batch group beside the Fast ones. Outputs still match the
+    // functional golden, and the whole schedule is invariant to host
+    // thread count.
     auto program = testprogs::blockFrequencies(16);
     std::vector<system::SlotBinding> bindings(6);
     for (int p = 0; p < 6; ++p) {
         bindings[p].lane = p < 3 ? 0 : 1;
         bindings[p].backend = p < 3 ? system::PuBackend::Fast
-                                    : system::PuBackend::RtlTape;
+                                    : system::PuBackend::Rtl;
     }
     Rng rng(55);
     std::vector<BitBuffer> streams;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "sim/simulator.h"
 #include "system/fleet_system.h"
+#include "system/pu_backend.h"
 #include "test_programs.h"
 #include "util/rng.h"
 
@@ -195,6 +199,38 @@ TEST(FleetSystem, ThroughputScalesWithPus)
     double sixteen = run_gbps(16);
     EXPECT_GT(four, 1.9 * one);
     EXPECT_GT(sixteen, 1.9 * four);
+}
+
+TEST(PuBackendName, EveryBackendRoundTrips)
+{
+    const PuBackend all[] = {PuBackend::Fast, PuBackend::Rtl,
+                             PuBackend::RtlInterp, PuBackend::RtlJit};
+    std::set<std::string> names;
+    for (PuBackend b : all) {
+        const std::string name = puBackendName(b);
+        EXPECT_TRUE(names.insert(name).second) << name;
+        EXPECT_EQ(parsePuBackend(name), b) << name;
+        EXPECT_NE(std::string(kPuBackendChoices).find(name),
+                  std::string::npos)
+            << name << " missing from the usage choices";
+    }
+}
+
+TEST(PuBackendName, IgnoresCaseAndSeparators)
+{
+    EXPECT_EQ(parsePuBackend("FAST"), PuBackend::Fast);
+    EXPECT_EQ(parsePuBackend("Rtl"), PuBackend::Rtl);
+    EXPECT_EQ(parsePuBackend("rtl-interp"), PuBackend::RtlInterp);
+    EXPECT_EQ(parsePuBackend("RTL_JIT"), PuBackend::RtlJit);
+    EXPECT_EQ(parsePuBackend("r-t_l-J_i-T"), PuBackend::RtlJit);
+}
+
+TEST(PuBackendName, RejectsUnknownNames)
+{
+    for (const char *name :
+         {"rtltape", "rtl-tape", "tape", "", "-", "rtl jit", "fastest",
+          "rtlx", "\xff"})
+        EXPECT_EQ(parsePuBackend(name), std::nullopt) << '"' << name << '"';
 }
 
 } // namespace
