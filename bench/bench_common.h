@@ -17,9 +17,9 @@
  * channels").
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/registry.h"
@@ -122,56 +122,50 @@ channelScaledGBps(const lang::Program &program,
     return runFleet(program, streams, config, total_channels).gbps;
 }
 
+/** The q-quantile of `sorted` by nearest rank (0 when empty). */
+inline uint64_t
+percentile(const std::vector<uint64_t> &sorted, double q)
+{
+    if (sorted.empty())
+        return 0;
+    size_t rank = static_cast<size_t>(q * double(sorted.size()));
+    return sorted[std::min(rank, sorted.size() - 1)];
+}
+
+/** One replay of a determinism crosscheck. */
+struct Replay
+{
+    const char *what;
+    system::PuBackend backend;
+    int threads;
+};
+
+/** What the serving benches replay a reference point on: its backend
+ * at 1 and 2 host threads, and the other of fast / rtl. */
+inline std::vector<Replay>
+crosscheckReplays(system::PuBackend backend, int threads)
+{
+    const bool fast = backend == system::PuBackend::Fast;
+    return {{"1 host thread", backend, 1},
+            {"2 host threads", backend, 2},
+            {fast ? "rtl backend" : "fast backend",
+             fast ? system::PuBackend::Rtl : system::PuBackend::Fast,
+             threads}};
+}
+
 inline void
 printHeader(const char *title, const char *what)
 {
     std::printf("\n==== %s ====\n%s\n\n", title, what);
 }
 
-/** Schema version of the common metadata block below. Bump when a key
- * is renamed or removed (additions are backwards-compatible: every
- * BENCH_*.json consumer in CI scans line-wise for the keys it knows).
+/** Schema version of the run-provenance block that opens every
+ * BENCH_*.json (bench_io.h: benchReport). Bump when a key is renamed or
+ * removed; additions are backwards-compatible, because every consumer
+ * parses the JSON and reads only the keys it knows (the --baseline
+ * replays look inside one named array).
  * v3: cluster provenance (devices, link_latency_cycles, link_gbps). */
 constexpr int kBenchJsonVersion = 3;
-
-#ifndef FLEET_GIT_SHA
-#define FLEET_GIT_SHA "unknown"
-#endif
-
-/**
- * Emit the run-provenance keys shared by every BENCH_*.json, right
- * after the opening '{': which bench, which commit, which PU backend,
- * and how many host threads — so an artifact downloaded from CI is
- * attributable without its workflow context. `threads` is the
- * configured worker count (0 = one per hardware thread); pass -1 for
- * benches where host threading does not apply. Cluster provenance
- * (v3): `devices` is the simulated device count (single-device benches
- * take the default), and `link_latency` / `link_gbps` describe the
- * inter-device link model when devices > 1 (0 otherwise).
- */
-inline void
-writeRunMetadata(std::FILE *f, const char *bench_name,
-                 const char *backend, int threads, int devices = 1,
-                 uint64_t link_latency = 0, double link_gbps = 0.0)
-{
-    std::fprintf(f, "  \"bench\": \"%s\",\n", bench_name);
-    std::fprintf(f, "  \"bench_version\": %d,\n", kBenchJsonVersion);
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n", FLEET_GIT_SHA);
-    std::fprintf(f, "  \"backend\": \"%s\",\n", backend);
-    if (threads >= 0)
-        std::fprintf(f, "  \"threads\": %d,\n", threads);
-    std::fprintf(f, "  \"devices\": %d,\n", devices);
-    std::fprintf(f, "  \"link_latency_cycles\": %llu,\n",
-                 static_cast<unsigned long long>(link_latency));
-    std::fprintf(f, "  \"link_gbps\": %.3f,\n", link_gbps);
-    std::fprintf(f, "  \"host_hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-#ifdef NDEBUG
-    std::fprintf(f, "  \"release_build\": true,\n");
-#else
-    std::fprintf(f, "  \"release_build\": false,\n");
-#endif
-}
 
 } // namespace bench
 } // namespace fleet

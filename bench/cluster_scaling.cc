@@ -36,10 +36,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 
 #include "bench_common.h"
+#include "bench_io.h"
 #include "cluster/pipeline.h"
 #include "lang/builder.h"
 #include "runtime/session.h"
@@ -59,7 +58,6 @@ struct RunOptions
     std::string jsonPath;
     std::string baselinePath;
     int threads = 0;
-    std::string backendName = "fast";
     system::PuBackend backend = system::PuBackend::Fast;
 };
 
@@ -183,17 +181,6 @@ struct PipelinePoint
     double simWallS = 0;
 };
 
-uint64_t
-percentile(const std::vector<uint64_t> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    size_t rank = static_cast<size_t>(q * double(sorted.size()));
-    if (rank >= sorted.size())
-        rank = sorted.size() - 1;
-    return sorted[rank];
-}
-
 PipelinePoint
 runPipelinePoint(const RunOptions &opts, const BenchShape &shape,
                  uint64_t bytes_per_cycle,
@@ -234,8 +221,8 @@ runPipelinePoint(const RunOptions &opts, const BenchShape &shape,
         totals.push_back(report.totalCycles());
     }
     std::sort(totals.begin(), totals.end());
-    point.p50 = percentile(totals, 0.50);
-    point.p99 = percentile(totals, 0.99);
+    point.p50 = bench::percentile(totals, 0.50);
+    point.p99 = bench::percentile(totals, 0.99);
     point.linkBusyCycles =
         pipeline.cluster().link(0, 1).counters().busyCycles;
     point.simCycles = pipeline.cycles();
@@ -248,128 +235,38 @@ writeJson(const std::string &path, const RunOptions &opts,
           const std::vector<ScalePoint> &scale,
           const std::vector<PipelinePoint> &pipe)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
     int max_devices = 1;
     for (const auto &p : scale)
         max_devices = std::max(max_devices, p.devices);
-    std::fprintf(f, "{\n");
-    bench::writeRunMetadata(f, "cluster_scaling",
-                            opts.backendName.c_str(), opts.threads,
-                            max_devices, 200,
-                            cluster::LinkParams{}.gbps(kClockMhz));
-    std::fprintf(f, "  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-    std::fprintf(f, "  \"slots_per_device\": %d,\n",
-                 shape.slotsPerDevice);
-    std::fprintf(f, "  \"channels\": %d,\n", shape.channels);
-    std::fprintf(f, "  \"jobs\": %llu,\n",
-                 static_cast<unsigned long long>(shape.jobs));
-    std::fprintf(f, "  \"scale_points\": [\n");
-    for (size_t i = 0; i < scale.size(); ++i) {
-        const ScalePoint &p = scale[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"devices\": %d,\n", p.devices);
-        std::fprintf(f, "      \"jobs_served\": %llu,\n",
-                     static_cast<unsigned long long>(p.jobsServed));
-        std::fprintf(f, "      \"sim_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.simCycles));
-        std::fprintf(f, "      \"jobs_per_mcycle\": %.6f,\n",
-                     p.jobsPerMcycle);
-        std::fprintf(f, "      \"sim_wall_s\": %.6f\n", p.simWallS);
-        std::fprintf(f, "    }%s\n", i + 1 < scale.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"pipeline_points\": [\n");
-    for (size_t i = 0; i < pipe.size(); ++i) {
-        const PipelinePoint &p = pipe[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"bytes_per_cycle\": %llu,\n",
-                     static_cast<unsigned long long>(p.bytesPerCycle));
-        std::fprintf(f, "      \"link_gbps\": %.3f,\n", p.linkGBps);
-        std::fprintf(f, "      \"jobs_served\": %llu,\n",
-                     static_cast<unsigned long long>(p.jobsServed));
-        std::fprintf(f, "      \"p50_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.p50));
-        std::fprintf(f, "      \"p99_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.p99));
-        std::fprintf(f, "      \"link_busy_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.linkBusyCycles));
-        std::fprintf(f, "      \"sim_wall_s\": %.6f\n", p.simWallS);
-        std::fprintf(f, "    }%s\n", i + 1 < pipe.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
-/** Exact jobs/Mcycle comparison against a previously written JSON (the
- * simulated schedule is deterministic, so any drift is real). */
-bool
-checkBaseline(const std::string &path,
-              const std::vector<ScalePoint> &scale)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return false;
-    }
-    std::vector<std::pair<std::string, std::string>> baseline;
-    std::string line, current_devices;
-    while (std::getline(in, line)) {
-        auto grab = [&line](const char *key) -> std::string {
-            auto pos = line.find(key);
-            if (pos == std::string::npos)
-                return "";
-            pos = line.find(':', pos);
-            if (pos == std::string::npos)
-                return "";
-            std::string value = line.substr(pos + 1);
-            const char *junk = " \t\",";
-            auto b = value.find_first_not_of(junk);
-            auto e = value.find_last_not_of(junk);
-            return b == std::string::npos
-                       ? std::string()
-                       : value.substr(b, e - b + 1);
-        };
-        if (auto d = grab("\"devices\""); !d.empty())
-            current_devices = d;
-        if (auto v = grab("\"jobs_per_mcycle\""); !v.empty()) {
-            if (!current_devices.empty())
-                baseline.emplace_back(current_devices, v);
-            current_devices.clear();
-        }
-    }
-    bool ok = true;
-    for (const auto &p : scale) {
-        char devices[16], now[32];
-        std::snprintf(devices, sizeof(devices), "%d", p.devices);
-        std::snprintf(now, sizeof(now), "%.6f", p.jobsPerMcycle);
-        auto it = std::find_if(baseline.begin(), baseline.end(),
-                               [&devices](const auto &b) {
-                                   return b.first == devices;
-                               });
-        if (it == baseline.end()) {
-            std::fprintf(stderr,
-                         "baseline: %d-device point missing from %s\n",
-                         p.devices, path.c_str());
-            ok = false;
-        } else if (it->second != now) {
-            std::fprintf(stderr,
-                         "baseline: %d-device jobs/Mcycle changed: "
-                         "%s -> %s\n",
-                         p.devices, it->second.c_str(), now);
-            ok = false;
-        }
-    }
-    if (ok)
-        std::printf("baseline: jobs/Mcycle unchanged for all %zu scale "
-                    "points (vs %s)\n",
-                    scale.size(), path.c_str());
-    return ok;
+    auto w = bench::benchReport(
+        "cluster_scaling", system::puBackendName(opts.backend),
+        opts.threads, max_devices, 200,
+        cluster::LinkParams{}.gbps(kClockMhz));
+    w.field("smoke", opts.smoke)
+        .field("slots_per_device", shape.slotsPerDevice)
+        .field("channels", shape.channels)
+        .field("jobs", shape.jobs)
+        .array("scale_points");
+    for (const ScalePoint &p : scale)
+        w.object()
+            .field("devices", p.devices)
+            .field("jobs_served", p.jobsServed)
+            .field("sim_cycles", p.simCycles)
+            .field("jobs_per_mcycle", p.jobsPerMcycle, 6)
+            .field("sim_wall_s", p.simWallS, 6)
+            .end();
+    w.end().array("pipeline_points");
+    for (const PipelinePoint &p : pipe)
+        w.object()
+            .field("bytes_per_cycle", p.bytesPerCycle)
+            .field("link_gbps", p.linkGBps, 3)
+            .field("jobs_served", p.jobsServed)
+            .field("p50_cycles", p.p50)
+            .field("p99_cycles", p.p99)
+            .field("link_busy_cycles", p.linkBusyCycles)
+            .field("sim_wall_s", p.simWallS, 6)
+            .end();
+    return w.save(path);
 }
 
 /** Replay the 2-device point across thread counts and a cycle-accurate
@@ -418,36 +315,14 @@ int
 main(int argc, char **argv)
 {
     RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            opts.smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--baseline") == 0 &&
-                   i + 1 < argc) {
-            opts.baselinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--backend") == 0 &&
-                   i + 1 < argc) {
-            auto parsed = system::parsePuBackend(argv[++i]);
-            if (!parsed) {
-                std::fprintf(stderr, "unknown backend %s (choices: %s)\n",
-                             argv[i], system::kPuBackendChoices);
-                return 2;
-            }
-            opts.backend = *parsed;
-            opts.backendName = system::puBackendName(*parsed);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] "
-                         "[--baseline PATH] [--threads N] "
-                         "[--backend %s]\n",
-                         argv[0], system::kPuBackendChoices);
-            return 2;
-        }
-    }
+    bench::Cli cli;
+    cli.flag("--smoke", &opts.smoke)
+        .option("--json", "PATH", &opts.jsonPath)
+        .option("--baseline", "PATH", &opts.baselinePath)
+        .option("--threads", "N", &opts.threads)
+        .backend(&opts.backend);
+    if (!cli.parse(argc, argv))
+        return 2;
 
     BenchShape shape;
     if (opts.smoke)
@@ -460,7 +335,7 @@ main(int argc, char **argv)
         "Part B: two-stage cross-device pipeline latency vs link "
         "bandwidth.");
     std::printf("backend=%s slots/device=%d channels=%d jobs=%llu\n\n",
-                opts.backendName.c_str(), shape.slotsPerDevice,
+                system::puBackendName(opts.backend), shape.slotsPerDevice,
                 shape.channels,
                 static_cast<unsigned long long>(shape.jobs));
 
@@ -566,8 +441,14 @@ main(int argc, char **argv)
     if (!opts.jsonPath.empty() &&
         !writeJson(opts.jsonPath, opts, shape, scale, pipe))
         ok = false;
-    if (!opts.baselinePath.empty() &&
-        !checkBaseline(opts.baselinePath, scale))
-        ok = false;
+    if (!opts.baselinePath.empty()) {
+        std::vector<bench::BaselineRow> rows;
+        for (const auto &p : scale)
+            rows.push_back({std::to_string(p.devices),
+                            bench::fixed(p.jobsPerMcycle, 6)});
+        if (!bench::replayBaseline(opts.baselinePath, "scale_points",
+                                   "devices", "jobs_per_mcycle", rows))
+            ok = false;
+    }
     return ok ? 0 : 1;
 }

@@ -25,9 +25,9 @@
  */
 
 #include <chrono>
-#include <cstring>
 
 #include "bench_common.h"
+#include "bench_io.h"
 #include "runtime/session.h"
 
 using namespace fleet;
@@ -147,42 +147,25 @@ writeJson(const std::string &path, const std::string &app,
           const DepthResult &oneshot,
           const std::vector<DepthResult> &results, const RunOptions &opts)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    auto row = [&](const DepthResult &r, const char *mode, bool last) {
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"mode\": \"%s\",\n", mode);
-        std::fprintf(f, "      \"queue_depth\": %d,\n", r.depth);
-        std::fprintf(f, "      \"jobs\": %llu,\n",
-                     static_cast<unsigned long long>(r.jobs));
-        std::fprintf(f, "      \"input_bytes\": %llu,\n",
-                     static_cast<unsigned long long>(r.inputBytes));
-        std::fprintf(f, "      \"cycles\": %llu,\n",
-                     static_cast<unsigned long long>(r.cycles));
-        std::fprintf(f, "      \"jobs_per_sec\": %.3f,\n", r.jobsPerSec);
-        std::fprintf(f, "      \"bytes_per_cycle\": %.6f,\n",
-                     r.bytesPerCycle);
-        std::fprintf(f, "      \"slot_utilization\": %.4f,\n",
-                     r.slotUtilization);
-        std::fprintf(f, "      \"sim_wall_s\": %.6f\n", r.simWallS);
-        std::fprintf(f, "    }%s\n", last ? "" : ",");
+    auto w = bench::benchReport("job_throughput", "fast", opts.threads);
+    w.field("smoke", opts.smoke).field("app", app).array("rows");
+    auto row = [&w](const DepthResult &r, const char *mode) {
+        w.object()
+            .field("mode", mode)
+            .field("queue_depth", r.depth)
+            .field("jobs", r.jobs)
+            .field("input_bytes", r.inputBytes)
+            .field("cycles", r.cycles)
+            .field("jobs_per_sec", r.jobsPerSec, 3)
+            .field("bytes_per_cycle", r.bytesPerCycle, 6)
+            .field("slot_utilization", r.slotUtilization, 4)
+            .field("sim_wall_s", r.simWallS, 6)
+            .end();
     };
-    std::fprintf(f, "{\n");
-    bench::writeRunMetadata(f, "job_throughput", "fast", opts.threads);
-    std::fprintf(f, "  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-    std::fprintf(f, "  \"app\": \"%s\",\n", app.c_str());
-    std::fprintf(f, "  \"rows\": [\n");
-    row(oneshot, "one-shot", false);
-    for (size_t i = 0; i < results.size(); ++i)
-        row(results[i], "session", i + 1 == results.size());
-    std::fprintf(f, "  ]\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+    row(oneshot, "one-shot");
+    for (const DepthResult &r : results)
+        row(r, "session");
+    return w.save(path);
 }
 
 } // namespace
@@ -191,22 +174,12 @@ int
 main(int argc, char **argv)
 {
     RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            opts.smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] "
-                         "[--threads N]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    bench::Cli cli;
+    cli.flag("--smoke", &opts.smoke)
+        .option("--json", "PATH", &opts.jsonPath)
+        .option("--threads", "N", &opts.threads);
+    if (!cli.parse(argc, argv))
+        return 2;
 
     const int num_slots = opts.smoke ? 8 : 16;
     const int num_channels = opts.smoke ? 2 : 4;

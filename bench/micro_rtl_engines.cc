@@ -46,15 +46,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/registry.h"
+#include "bench_io.h"
 #include "compile/compiler.h"
 #include "rtl/batch_sim.h"
-#include "bench_common.h"
 #include "rtl/jit.h"
 #include "rtl/sim.h"
 #include "rtl/tape.h"
@@ -72,21 +71,6 @@ now()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/** Minimal JSON string escaping for status messages. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            c = ' ';
-        out += c;
-    }
-    return out;
 }
 
 /** FNV-1a fold of one observed output tuple. */
@@ -309,72 +293,44 @@ bool
 writeJson(const std::string &path, const std::vector<AppResult> &results,
           bool smoke)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::fprintf(f, "{\n");
     // Single-PU engine microbench: host threading does not apply, and
     // the "backend" axis *is* the result rows (interp vs batch vs jit).
-    bench::writeRunMetadata(f, "micro_rtl_engines", "rtl-engines", -1);
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+    auto w = bench::benchReport("micro_rtl_engines", "rtl-engines", -1);
+    w.field("smoke", smoke);
     // Canonical engine names from the shared backend registry, in row
     // order (interp / batch / jit columns below).
-    std::fprintf(
-        f, "  \"engines\": [\"%s\", \"%s\", \"%s\"],\n",
-        system::puBackendName(system::PuBackend::RtlInterp),
-        system::puBackendName(system::PuBackend::Rtl),
-        system::puBackendName(system::PuBackend::RtlJit));
-    std::fprintf(f, "  \"apps\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const AppResult &r = results[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"app\": \"%s\",\n", r.name.c_str());
-        std::fprintf(f, "      \"circuit_nodes\": %llu,\n",
-                     static_cast<unsigned long long>(r.circuitNodes));
-        std::fprintf(f, "      \"tape_ops\": %llu,\n",
-                     static_cast<unsigned long long>(r.tapeOps));
-        std::fprintf(f, "      \"nodes_eliminated\": %llu,\n",
-                     static_cast<unsigned long long>(r.nodesEliminated));
-        std::fprintf(f, "      \"opt_source_nodes\": %llu,\n",
-                     static_cast<unsigned long long>(r.optSourceNodes));
-        std::fprintf(f, "      \"opt_result_nodes\": %llu,\n",
-                     static_cast<unsigned long long>(r.optResultNodes));
-        std::fprintf(f, "      \"opt_dead_nodes\": %llu,\n",
-                     static_cast<unsigned long long>(r.optDeadNodes));
-        std::fprintf(f, "      \"lanes\": %d,\n", r.lanes);
-        std::fprintf(f, "      \"cycles\": %d,\n", r.cycles);
-        std::fprintf(f, "      \"interp_s\": %.6f,\n", r.interpS);
-        std::fprintf(f, "      \"batch_s\": %.6f,\n", r.batchS);
-        std::fprintf(f, "      \"batch_per_pu_speedup\": %.3f,\n",
-                     r.batchPerPuSpeedup);
-        std::fprintf(f, "      \"jit_available\": %s,\n",
-                     r.jitAvailable ? "true" : "false");
-        if (r.jitAvailable) {
-            std::fprintf(f, "      \"jit_s\": %.6f,\n", r.jitS);
-            std::fprintf(f, "      \"jit_compile_s\": %.6f,\n",
-                         r.jitCompileS);
-            std::fprintf(f, "      \"jit_from_disk_cache\": %s,\n",
-                         r.jitFromDiskCache ? "true" : "false");
-            std::fprintf(f, "      \"jit_over_batch_speedup\": %.3f,\n",
-                         r.jitOverBatchSpeedup);
-            std::fprintf(f, "      \"jit_per_pu_speedup\": %.3f,\n",
-                         r.jitPerPuSpeedup);
-            std::fprintf(f, "      \"jit_amort_cycles\": %.0f,\n",
-                         r.jitAmortCycles);
-        } else {
-            std::fprintf(f, "      \"jit_status\": \"%s\",\n",
-                         jsonEscape(r.jitStatus).c_str());
-        }
-        std::fprintf(f, "      \"equivalent\": %s\n",
-                     r.equivalent ? "true" : "false");
-        std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
+    w.array("engines", bench::JsonWriter::Layout::Row);
+    for (auto engine : {system::PuBackend::RtlInterp,
+                        system::PuBackend::Rtl, system::PuBackend::RtlJit})
+        w.value(system::puBackendName(engine));
+    w.end().array("apps");
+    for (const AppResult &r : results) {
+        w.object()
+            .field("app", r.name)
+            .field("circuit_nodes", r.circuitNodes)
+            .field("tape_ops", r.tapeOps)
+            .field("nodes_eliminated", r.nodesEliminated)
+            .field("opt_source_nodes", r.optSourceNodes)
+            .field("opt_result_nodes", r.optResultNodes)
+            .field("opt_dead_nodes", r.optDeadNodes)
+            .field("lanes", r.lanes)
+            .field("cycles", r.cycles)
+            .field("interp_s", r.interpS, 6)
+            .field("batch_s", r.batchS, 6)
+            .field("batch_per_pu_speedup", r.batchPerPuSpeedup, 3)
+            .field("jit_available", r.jitAvailable);
+        if (r.jitAvailable)
+            w.field("jit_s", r.jitS, 6)
+                .field("jit_compile_s", r.jitCompileS, 6)
+                .field("jit_from_disk_cache", r.jitFromDiskCache)
+                .field("jit_over_batch_speedup", r.jitOverBatchSpeedup, 3)
+                .field("jit_per_pu_speedup", r.jitPerPuSpeedup, 3)
+                .field("jit_amort_cycles", r.jitAmortCycles, 0);
+        else
+            w.field("jit_status", r.jitStatus);
+        w.field("equivalent", r.equivalent).end();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+    return w.save(path);
 }
 
 } // namespace
@@ -386,24 +342,13 @@ main(int argc, char **argv)
     std::string json_path;
     int lanes = 64;
     int cycles = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-            lanes = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--cycles") == 0 &&
-                   i + 1 < argc) {
-            cycles = std::atoi(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] [--lanes N] "
-                         "[--cycles N]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    bench::Cli cli;
+    cli.flag("--smoke", &smoke)
+        .option("--json", "PATH", &json_path)
+        .option("--lanes", "N", &lanes)
+        .option("--cycles", "N", &cycles);
+    if (!cli.parse(argc, argv))
+        return 2;
     if (lanes < 1) {
         std::fprintf(stderr, "--lanes must be >= 1\n");
         return 2;
@@ -436,36 +381,24 @@ main(int argc, char **argv)
             if (r.jitOverBatchSpeedup >= 1.5)
                 ++jit_fast_apps;
         }
-        char ti[32], tb[32], tj[32], sb[32], sj[32], cm[32], am[32];
-        std::snprintf(ti, sizeof(ti), "%.3f", r.interpS);
-        std::snprintf(tb, sizeof(tb), "%.3f", r.batchS);
-        std::snprintf(sb, sizeof(sb), "%.1fx", r.batchPerPuSpeedup);
-        if (r.jitAvailable) {
-            std::snprintf(tj, sizeof(tj), "%.3f", r.jitS);
-            std::snprintf(sj, sizeof(sj), "%.1fx",
-                          r.jitOverBatchSpeedup);
-            std::snprintf(cm, sizeof(cm), "%.0f%s",
-                          r.jitCompileS * 1e3,
-                          r.jitFromDiskCache ? "*" : "");
-            std::snprintf(am, sizeof(am), "%.0f", r.jitAmortCycles);
-        } else {
-            std::snprintf(tj, sizeof(tj), "n/a");
-            std::snprintf(sj, sizeof(sj), "n/a");
-            std::snprintf(cm, sizeof(cm), "n/a");
-            std::snprintf(am, sizeof(am), "n/a");
-        }
+        // Jit columns read n/a when the toolchain is unavailable.
+        auto jit = [&r](double v, int precision, const char *suffix = "") {
+            return r.jitAvailable ? bench::fixed(v, precision) + suffix
+                                  : std::string("n/a");
+        };
         table.row()
             .cell(r.name)
-            .cell(std::to_string(r.circuitNodes))
-            .cell(std::to_string(r.tapeOps))
-            .cell(std::to_string(r.nodesEliminated))
-            .cell(ti)
-            .cell(tb)
-            .cell(tj)
-            .cell(sb)
-            .cell(sj)
-            .cell(cm)
-            .cell(am)
+            .cell(r.circuitNodes)
+            .cell(r.tapeOps)
+            .cell(r.nodesEliminated)
+            .cell(r.interpS, 3)
+            .cell(r.batchS, 3)
+            .cell(jit(r.jitS, 3))
+            .cell(bench::fixed(r.batchPerPuSpeedup, 1) + "x")
+            .cell(jit(r.jitOverBatchSpeedup, 1, "x"))
+            .cell(jit(r.jitCompileS * 1e3, 0,
+                      r.jitFromDiskCache ? "*" : ""))
+            .cell(jit(r.jitAmortCycles, 0))
             .cell(r.equivalent ? "yes" : "NO");
         std::fflush(stdout);
         results.push_back(std::move(r));

@@ -35,10 +35,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 
 #include "bench_common.h"
+#include "bench_io.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"
 #include "system/pu_backend.h"
@@ -53,7 +52,6 @@ struct RunOptions
     std::string jsonPath;
     std::string baselinePath;
     int threads = 0;
-    std::string backendName = "fast";
     system::PuBackend backend = system::PuBackend::Fast;
 };
 
@@ -84,17 +82,6 @@ struct PolicyResult
      * fence (host wall fields deliberately absent). */
     std::vector<std::array<uint64_t, 6>> signature;
 };
-
-uint64_t
-percentile(const std::vector<uint64_t> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    size_t rank = static_cast<size_t>(q * double(sorted.size()));
-    if (rank >= sorted.size())
-        rank = sorted.size() - 1;
-    return sorted[rank];
-}
 
 serve::ServiceConfig
 serviceConfig(const RunOptions &opts, const BenchShape &shape,
@@ -213,14 +200,14 @@ runPolicy(const apps::Application &app, const RunOptions &opts,
     }
     std::sort(victim_totals.begin(), victim_totals.end());
     std::sort(flood_totals.begin(), flood_totals.end());
-    result.victimP50 = percentile(victim_totals, 0.50);
-    result.victimP95 = percentile(victim_totals, 0.95);
-    result.victimP99 = percentile(victim_totals, 0.99);
+    result.victimP50 = bench::percentile(victim_totals, 0.50);
+    result.victimP95 = bench::percentile(victim_totals, 0.95);
+    result.victimP99 = bench::percentile(victim_totals, 0.99);
     result.victimMeanWait =
         result.victimServed
             ? double(victim_wait) / double(result.victimServed)
             : 0;
-    result.floodP99 = percentile(flood_totals, 0.99);
+    result.floodP99 = bench::percentile(flood_totals, 0.99);
     result.simCycles = service.stats().simCycles;
     for (const auto &report : service.session().reports())
         result.signature.push_back(
@@ -235,116 +222,31 @@ writeJson(const std::string &path, const std::string &app,
           const RunOptions &opts, const BenchShape &shape,
           const std::vector<PolicyResult> &points)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::fprintf(f, "{\n");
-    bench::writeRunMetadata(f, "tenant_isolation",
-                            opts.backendName.c_str(), opts.threads);
-    std::fprintf(f, "  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-    std::fprintf(f, "  \"app\": \"%s\",\n", app.c_str());
-    std::fprintf(f, "  \"slots\": %d,\n", shape.slots);
-    std::fprintf(f, "  \"channels\": %d,\n", shape.channels);
-    std::fprintf(f, "  \"victim_jobs\": %llu,\n",
-                 static_cast<unsigned long long>(shape.victimJobs));
-    std::fprintf(f, "  \"flood_jobs\": %llu,\n",
-                 static_cast<unsigned long long>(shape.floodJobs));
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const PolicyResult &p = points[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"label\": \"%s\",\n", p.label.c_str());
-        std::fprintf(f, "      \"isolated\": %s,\n",
-                     p.isolated ? "true" : "false");
-        std::fprintf(f, "      \"victim_served\": %llu,\n",
-                     static_cast<unsigned long long>(p.victimServed));
-        std::fprintf(f, "      \"flood_served\": %llu,\n",
-                     static_cast<unsigned long long>(p.floodServed));
-        std::fprintf(f, "      \"victim_p50_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.victimP50));
-        std::fprintf(f, "      \"victim_p95_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.victimP95));
-        std::fprintf(f, "      \"victim_p99_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.victimP99));
-        std::fprintf(f, "      \"victim_mean_wait_cycles\": %.3f,\n",
-                     p.victimMeanWait);
-        std::fprintf(f, "      \"flood_p99_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.floodP99));
-        std::fprintf(f, "      \"sim_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.simCycles));
-        std::fprintf(f, "      \"sim_wall_s\": %.6f\n", p.simWallS);
-        std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
-/** Exact victim-p99 comparison against a previously written JSON (the
- * simulated schedule is deterministic, so any drift is real). */
-bool
-checkBaseline(const std::string &path,
-              const std::vector<PolicyResult> &points)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return false;
-    }
-    std::vector<std::pair<std::string, std::string>> baseline;
-    std::string line, current_label;
-    while (std::getline(in, line)) {
-        auto grab = [&line](const char *key) -> std::string {
-            auto pos = line.find(key);
-            if (pos == std::string::npos)
-                return "";
-            pos = line.find(':', pos);
-            if (pos == std::string::npos)
-                return "";
-            std::string value = line.substr(pos + 1);
-            const char *junk = " \t\",";
-            auto b = value.find_first_not_of(junk);
-            auto e = value.find_last_not_of(junk);
-            return b == std::string::npos
-                       ? std::string()
-                       : value.substr(b, e - b + 1);
-        };
-        if (auto label = grab("\"label\""); !label.empty())
-            current_label = label;
-        if (auto p99 = grab("\"victim_p99_cycles\""); !p99.empty()) {
-            if (!current_label.empty())
-                baseline.emplace_back(current_label, p99);
-            current_label.clear();
-        }
-    }
-    bool ok = true;
-    for (const auto &p : points) {
-        char now[32];
-        std::snprintf(now, sizeof(now), "%llu",
-                      static_cast<unsigned long long>(p.victimP99));
-        auto it = std::find_if(
-            baseline.begin(), baseline.end(),
-            [&p](const auto &b) { return b.first == p.label; });
-        if (it == baseline.end()) {
-            std::fprintf(stderr, "baseline: point %s missing from %s\n",
-                         p.label.c_str(), path.c_str());
-            ok = false;
-        } else if (it->second != now) {
-            std::fprintf(stderr,
-                         "baseline: %s victim p99 changed: %s -> %s "
-                         "cycles\n",
-                         p.label.c_str(), it->second.c_str(), now);
-            ok = false;
-        }
-    }
-    if (ok)
-        std::printf("baseline: victim p99 unchanged for all %zu policy "
-                    "points (vs %s)\n",
-                    points.size(), path.c_str());
-    return ok;
+    auto w = bench::benchReport("tenant_isolation",
+                                system::puBackendName(opts.backend),
+                                opts.threads);
+    w.field("smoke", opts.smoke)
+        .field("app", app)
+        .field("slots", shape.slots)
+        .field("channels", shape.channels)
+        .field("victim_jobs", shape.victimJobs)
+        .field("flood_jobs", shape.floodJobs)
+        .array("points");
+    for (const PolicyResult &p : points)
+        w.object()
+            .field("label", p.label)
+            .field("isolated", p.isolated)
+            .field("victim_served", p.victimServed)
+            .field("flood_served", p.floodServed)
+            .field("victim_p50_cycles", p.victimP50)
+            .field("victim_p95_cycles", p.victimP95)
+            .field("victim_p99_cycles", p.victimP99)
+            .field("victim_mean_wait_cycles", p.victimMeanWait, 3)
+            .field("flood_p99_cycles", p.floodP99)
+            .field("sim_cycles", p.simCycles)
+            .field("sim_wall_s", p.simWallS, 6)
+            .end();
+    return w.save(path);
 }
 
 /** Replay a policy point across thread counts and the other backend;
@@ -356,30 +258,10 @@ crosscheckDeterminism(const apps::Application &app,
                       runtime::SchedulerPolicy policy,
                       const PolicyResult &reference)
 {
-    struct Variant
-    {
-        const char *what;
-        std::string backendName;
-        system::PuBackend backend;
-        int threads;
-    };
-    std::vector<Variant> variants = {
-        {"1 host thread", opts.backendName, opts.backend, 1},
-        {"2 host threads", opts.backendName, opts.backend, 2},
-    };
-    auto cross = opts.backend == system::PuBackend::Fast
-                     ? system::PuBackend::Rtl
-                     : system::PuBackend::Fast;
-    variants.push_back({opts.backend == system::PuBackend::Fast
-                            ? "rtl backend"
-                            : "fast backend",
-                        system::puBackendName(cross), cross,
-                        opts.threads});
-
     bool ok = true;
-    for (const auto &variant : variants) {
+    for (const auto &variant :
+         bench::crosscheckReplays(opts.backend, opts.threads)) {
         RunOptions vopts = opts;
-        vopts.backendName = variant.backendName;
         vopts.backend = variant.backend;
         vopts.threads = variant.threads;
         PolicyResult replay =
@@ -405,36 +287,14 @@ int
 main(int argc, char **argv)
 {
     RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            opts.smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--baseline") == 0 &&
-                   i + 1 < argc) {
-            opts.baselinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--backend") == 0 &&
-                   i + 1 < argc) {
-            auto parsed = system::parsePuBackend(argv[++i]);
-            if (!parsed) {
-                std::fprintf(stderr, "unknown backend %s (choices: %s)\n",
-                             argv[i], system::kPuBackendChoices);
-                return 2;
-            }
-            opts.backend = *parsed;
-            opts.backendName = system::puBackendName(*parsed);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] "
-                         "[--baseline PATH] [--threads N] "
-                         "[--backend %s]\n",
-                         argv[0], system::kPuBackendChoices);
-            return 2;
-        }
-    }
+    bench::Cli cli;
+    cli.flag("--smoke", &opts.smoke)
+        .option("--json", "PATH", &opts.jsonPath)
+        .option("--baseline", "PATH", &opts.baselinePath)
+        .option("--threads", "N", &opts.threads)
+        .backend(&opts.backend);
+    if (!cli.parse(argc, argv))
+        return 2;
 
     BenchShape shape;
     if (opts.smoke)
@@ -451,7 +311,7 @@ main(int argc, char **argv)
         "latency vs a victim-only isolated baseline.");
     std::printf("app=%s backend=%s slots=%d channels=%d victim=%llu "
                 "flood=%llu\n\n",
-                app.name().c_str(), opts.backendName.c_str(),
+                app.name().c_str(), system::puBackendName(opts.backend),
                 shape.slots, shape.channels,
                 static_cast<unsigned long long>(shape.victimJobs),
                 static_cast<unsigned long long>(shape.floodJobs));
@@ -560,8 +420,13 @@ main(int argc, char **argv)
     if (!opts.jsonPath.empty() &&
         !writeJson(opts.jsonPath, app.name(), opts, shape, points))
         ok = false;
-    if (!opts.baselinePath.empty() &&
-        !checkBaseline(opts.baselinePath, points))
-        ok = false;
+    if (!opts.baselinePath.empty()) {
+        std::vector<bench::BaselineRow> rows;
+        for (const auto &p : points)
+            rows.push_back({p.label, std::to_string(p.victimP99)});
+        if (!bench::replayBaseline(opts.baselinePath, "points", "label",
+                                   "victim_p99_cycles", rows))
+            ok = false;
+    }
     return ok ? 0 : 1;
 }

@@ -91,6 +91,39 @@ defaultCacheDir()
 #endif
 }
 
+/** Artifact names start with this; only the current emitter's carry
+ * the versioned prefix, so older ones are recognisable on disk. */
+std::string
+artifactPrefix()
+{
+    return "fleet-jit-v" + std::to_string(kEmitterVersion) + "-";
+}
+
+/**
+ * Delete what older emitters left in the cache dir: the regular files
+ * named fleet-jit-* without the current prefix (older versions and the
+ * unversioned names before them). Anything else stays, including a
+ * concurrent compile's current-version .tmp<pid> file. Best effort:
+ * entries that vanish or resist removal are skipped, and a process
+ * whose own files another version prunes gets a failed compile or
+ * load Status, so its group runs as a plain Rtl batch.
+ */
+void
+pruneStaleArtifacts(const std::filesystem::path &dir)
+{
+    namespace fs = std::filesystem;
+    const std::string current = artifactPrefix();
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        std::error_code file_ec;
+        if (name.rfind("fleet-jit-", 0) == 0 &&
+            name.rfind(current, 0) != 0 && it->is_regular_file(file_ec))
+            fs::remove(it->path(), file_ec);
+    }
+}
+
 std::string
 shellQuote(const std::string &s)
 {
@@ -799,7 +832,7 @@ JitProgram::compile(const TapeProgram &tape, const JitOptions &opts,
     char keyhex[24];
     std::snprintf(keyhex, sizeof keyhex, "%016llx",
                   (unsigned long long)key);
-    const std::string stem = std::string("fleet-jit-") + keyhex;
+    const std::string stem = artifactPrefix() + keyhex;
     const fs::path so = dir / (stem + ".so");
 
     std::shared_ptr<JitProgram> prog(new JitProgram);
@@ -847,6 +880,7 @@ JitProgram::compile(const TapeProgram &tape, const JitOptions &opts,
         }
     }
     if (!loaded) {
+        pruneStaleArtifacts(dir);
         std::string src;
         try {
             src = emitSource(tape, opts.lanes);

@@ -53,9 +53,11 @@
  * TapeProgram::fits32 already applies to wide interior nodes.
  *
  * Artifacts are cached on disk keyed by cacheKey() (tape content hash +
- * lane count + element width + emitter version); a cached .so embeds
+ * lane count + element width + emitter version) and named
+ * fleet-jit-v<emitter version>-<key>.{c,so,log}; a cached .so embeds
  * the key and is re-verified at load, so corrupted or stale entries
- * fall back to a fresh compile. Compilation is best-effort by design:
+ * fall back to a fresh compile. Each fresh compile first deletes the
+ * fleet-jit-* files an older emitter version left in the directory. Compilation is best-effort by design:
  * every failure path (FLEET_JIT_DISABLE=1, no toolchain, compile or
  * dlopen error) returns a Status instead of throwing, and the system
  * layer (system/fleet_system.cc) builds the group as a plain

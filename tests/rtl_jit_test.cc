@@ -219,6 +219,66 @@ TEST(RtlJitCache, CorruptedArtifactTriggersFreshCompile)
     expectFunctional(tape, second);
 }
 
+/** A fresh compile deletes the fleet-jit-* files older emitters left
+ * (versioned or not) and nothing else; loading from the cache deletes
+ * nothing. */
+TEST(RtlJitCache, CompilePrunesOnlyOlderEmitterArtifacts)
+{
+    namespace fs = std::filesystem;
+    auto tape = sumTape();
+    rtl::JitOptions opts;
+    opts.lanes = 4;
+    opts.cacheDir = freshCacheDir("prune");
+    opts.forceRecompile = true;
+    Status status;
+    auto first = rtl::JitProgram::compile(*tape, opts, &status);
+    if (!first)
+        GTEST_SKIP() << "jit unavailable: " << status.toString();
+    // fleet-jit-v<N>-<16 hex key>.so
+    const std::string name =
+        fs::path(first->artifactPath()).filename().string();
+    ASSERT_EQ(name.rfind("fleet-jit-v", 0), 0u) << name;
+    const std::string current = name.substr(0, name.size() - 19);
+    ASSERT_EQ(current.back(), '-') << name;
+
+    const fs::path dir(opts.cacheDir);
+    const std::vector<std::string> stale = {
+        "fleet-jit-0123456789abcdef.so", "fleet-jit-0123456789abcdef.c",
+        "fleet-jit-v1-0123456789abcdef.so",
+        "fleet-jit-v1-0123456789abcdef.log",
+        // A longer version number sharing the current one's digits.
+        current.substr(0, current.size() - 1) + "0-0123456789abcdef.so"};
+    const std::vector<std::string> kept = {
+        "notes.txt", "fleet-jitter.so",
+        current + "0123456789abcdef.tmp4242.so"};
+    for (const auto &file : stale)
+        std::ofstream(dir / file) << "x";
+    for (const auto &file : kept)
+        std::ofstream(dir / file) << "x";
+    fs::create_directories(dir / "fleet-jit-old-dir");
+
+    // The load path prunes nothing.
+    first.reset();
+    rtl::JitProgram::dropInProcessCacheForTests();
+    rtl::JitOptions load = opts;
+    load.forceRecompile = false;
+    auto loaded = rtl::JitProgram::compile(*tape, load, &status);
+    ASSERT_NE(loaded, nullptr) << status.toString();
+    EXPECT_TRUE(loaded->fromDiskCache());
+    for (const auto &file : stale)
+        EXPECT_TRUE(fs::exists(dir / file)) << file;
+
+    auto second = rtl::JitProgram::compile(*tape, opts, &status);
+    ASSERT_NE(second, nullptr) << status.toString();
+    for (const auto &file : stale)
+        EXPECT_FALSE(fs::exists(dir / file)) << file << " not pruned";
+    for (const auto &file : kept)
+        EXPECT_TRUE(fs::exists(dir / file)) << file << " pruned";
+    EXPECT_TRUE(fs::is_directory(dir / "fleet-jit-old-dir"));
+    EXPECT_TRUE(fs::exists(second->artifactPath()));
+    expectFunctional(tape, second);
+}
+
 TEST(RtlJitFallback, DisableEnvReportsUnavailable)
 {
     ScopedEnv disable("FLEET_JIT_DISABLE", "1");
