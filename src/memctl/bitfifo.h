@@ -26,7 +26,8 @@ class BitFifo
   public:
     explicit BitFifo(uint64_t capacity_bits)
         : capacity_(capacity_bits),
-          words_(ceilDiv(capacity_bits, 64) + 1, 0)
+          words_(std::max<uint64_t>(1, ceilDiv(capacity_bits, 64)), 0),
+          ringBits_(words_.size() * 64)
     {
     }
 
@@ -44,20 +45,19 @@ class BitFifo
         if (uint64_t(width) > freeBits())
             panic("BitFifo: overflow (pushing ", width, " bits into ",
                   freeBits(), " free)");
+        if (width == 0)
+            return;
+        // Free ring bits are always zero (pop clears what it takes), so
+        // the token ORs into at most two words: the ring is a whole
+        // number of 64-bit words, and only a token straddling a word
+        // boundary spills into the next one (word 0 past the ring end).
         value = truncTo(value, width);
-        // Word-by-word chunks never cross the ring end because the ring
-        // is a whole number of 64-bit words.
-        uint64_t pos = tail_;
-        int done = 0;
-        while (done < width) {
-            int word = pos / 64;
-            int shift = pos % 64;
-            int chunk = std::min<int>(width - done, 64 - shift);
-            words_[word] |= ((value >> done) & mask64(chunk)) << shift;
-            done += chunk;
-            pos = advance(pos, chunk);
-        }
-        tail_ = pos;
+        const uint64_t word = tail_ / 64;
+        const int shift = static_cast<int>(tail_ % 64);
+        words_[word] |= value << shift;
+        if (shift + width > 64)
+            words_[nextWord(word)] |= value >> (64 - shift);
+        tail_ = advance(tail_, width);
         size_ += width;
     }
 
@@ -81,23 +81,12 @@ class BitFifo
         if (uint64_t(width) > size_)
             panic("BitFifo: underflow (popping ", width, " bits of ",
                   size_, ")");
-        uint64_t pos = head_;
-        uint64_t value = 0;
-        int got = 0;
-        while (got < width) {
-            int word = pos / 64;
-            int shift = pos % 64;
-            int chunk = std::min<int>(width - got, 64 - shift);
-            // Bits until the physical end of the ring.
-            uint64_t ring_end = ringBits();
-            if (pos + chunk > ring_end)
-                chunk = static_cast<int>(ring_end - pos);
-            uint64_t piece = (words_[word] >> shift) & mask64(chunk);
-            value |= piece << got;
-            got += chunk;
-            pos = advance(pos, chunk);
-        }
-        return value;
+        const uint64_t word = head_ / 64;
+        const int shift = static_cast<int>(head_ % 64);
+        uint64_t value = words_[word] >> shift;
+        if (shift + width > 64)
+            value |= words_[nextWord(word)] << (64 - shift);
+        return truncTo(value, width);
     }
 
     void
@@ -108,37 +97,38 @@ class BitFifo
     }
 
   private:
-    /** Ring size in bits (rounded up to a whole word for simplicity). */
-    uint64_t ringBits() const { return (words_.size() - 1) * 64; }
+    uint64_t
+    nextWord(uint64_t word) const
+    {
+        return word + 1 == words_.size() ? 0 : word + 1;
+    }
 
     uint64_t
     advance(uint64_t pos, int bits) const
     {
         pos += bits;
-        if (pos >= ringBits())
-            pos -= ringBits();
+        if (pos >= ringBits_)
+            pos -= ringBits_;
         return pos;
     }
 
+    /** Zero `width` bits from ring position `pos` (wrapping). */
     void
     clearRange(uint64_t pos, int width)
     {
-        int cleared = 0;
-        while (cleared < width) {
-            int word = pos / 64;
-            int shift = pos % 64;
-            int chunk = std::min<int>(width - cleared, 64 - shift);
-            uint64_t ring_end = ringBits();
-            if (pos + chunk > ring_end)
-                chunk = static_cast<int>(ring_end - pos);
-            words_[word] &= ~(mask64(chunk) << shift);
-            cleared += chunk;
-            pos = advance(pos, chunk);
-        }
+        if (width == 0)
+            return;
+        const uint64_t word = pos / 64;
+        const int shift = static_cast<int>(pos % 64);
+        words_[word] &= ~(mask64(width) << shift);
+        if (shift + width > 64)
+            words_[nextWord(word)] &= ~mask64(shift + width - 64);
     }
 
     uint64_t capacity_;
+    /** The ring: a whole number of words, at least one. */
     std::vector<uint64_t> words_;
+    uint64_t ringBits_;
     uint64_t head_ = 0;
     uint64_t tail_ = 0;
     uint64_t size_ = 0;

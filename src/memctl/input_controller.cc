@@ -38,12 +38,10 @@ InputController::InputController(dram::DramChannel &channel,
     slots_.resize(params_.numBurstRegs);
     for (auto &slot : slots_)
         slot.data.resize(params_.burstBits / 8);
-}
-
-bool
-InputController::streamExhausted(int pu) const
-{
-    return pus_[pu].bitsBuffered == pus_[pu].region.streamBits;
+    issuable_ = LaneMask(static_cast<int>(pus_.size()));
+    for (size_t p = 0; p < pus_.size(); ++p)
+        refreshIssuable(static_cast<int>(p));
+    drainable_ = LaneMask(static_cast<int>(slots_.size()));
 }
 
 bool
@@ -114,6 +112,7 @@ InputController::rearmPu(int pu_index, uint64_t stream_bits)
     pu.bitsBuffered = 0;
     pu.buffer.clear();
     pu.dead = false;
+    refreshIssuable(pu_index);
 }
 
 void
@@ -124,14 +123,16 @@ InputController::killPu(int pu_index)
     // No further bursts for this stream; in-flight ones are discarded as
     // they complete (drainSlots), freeing their burst registers.
     pu.totalBursts = pu.burstsIssued;
+    refreshIssuable(pu_index);
 }
 
 void
 InputController::drainSlots()
 {
-    for (auto &slot : slots_) {
-        if (!slot.active || slot.beatsReceived != slot.beatsTotal)
-            continue;
+    const int num_slots = static_cast<int>(slots_.size());
+    for (int s = drainable_.findIn(0, num_slots); s >= 0;
+         s = drainable_.findIn(s + 1, num_slots)) {
+        BurstSlot &slot = slots_[s];
         PuState &pu = pus_[slot.pu];
         if (slot.seq != pu.burstsDrained)
             continue; // Keep each PU's bursts in stream order.
@@ -139,6 +140,7 @@ InputController::drainSlots()
             // Contained failure: discard the burst without touching the
             // buffer, so the register frees even if the buffer is full.
             slot.active = false;
+            drainable_.set(s, false);
             pu.inflightBursts--;
             pu.burstsDrained++;
             continue;
@@ -165,6 +167,7 @@ InputController::drainSlots()
         bitsDelivered_ += chunk;
         if (slot.drainedBits == slot.payloadBits) {
             slot.active = false;
+            drainable_.set(s, false);
             pu.inflightBursts--;
             pu.burstsDrained++;
         }
@@ -216,8 +219,10 @@ InputController::acceptBeat()
         parityEvents_.push_back(ParityEvent{slot.pu, beat.addr});
     channel_.rPop();
     slot.beatsReceived++;
-    if (slot.beatsReceived == slot.beatsTotal)
+    if (slot.beatsReceived == slot.beatsTotal) {
+        drainable_.set(fillingSlot_, true);
         fillingSlot_ = -1;
+    }
 }
 
 void
@@ -237,34 +242,34 @@ InputController::issueAddresses()
     if (!channel_.arReady())
         return;
 
-    // Round-robin walk; one address per cycle.
-    int examined = 0;
-    int count = static_cast<int>(pus_.size());
-    while (examined < count) {
-        PuState &pu = pus_[rrPointer_];
-        if (pu.burstsIssued == pu.totalBursts) {
-            // Finished consuming input: always skipped.
-            rrPointer_ = (rrPointer_ + 1) % count;
-            ++examined;
-            continue;
-        }
+    // Round-robin walk over the units with bursts left to issue; one
+    // address per cycle. A unit without credit is skipped, or under
+    // blocking addressing waited on.
+    const int count = static_cast<int>(pus_.size());
+    const int start = rrPointer_;
+    for (int k = issuable_.cyclicOffset(start); k >= 0;
+         k = issuable_.cyclicOffset(start, k + 1)) {
+        const int p = (start + k) % count;
+        PuState &pu = pus_[p];
         if (!creditAvailable(pu)) {
-            if (params_.blockingAddressing)
-                return; // Wait here until this PU can accept.
-            rrPointer_ = (rrPointer_ + 1) % count;
-            ++examined;
+            if (params_.blockingAddressing) {
+                rrPointer_ = p; // Wait here until this PU can accept.
+                return;
+            }
             continue;
         }
         uint64_t addr = pu.region.baseAddr +
                         pu.burstsIssued * (params_.burstBits / 8);
         channel_.arPush(addr, beatsPerBurst_);
-        orderQueue_.push_back(rrPointer_);
+        orderQueue_.push_back(p);
         pu.burstsIssued++;
         pu.inflightBursts++;
         ++arIssued_;
-        rrPointer_ = (rrPointer_ + 1) % count;
+        refreshIssuable(p);
+        rrPointer_ = (p + 1) % count;
         return;
     }
+    // Nothing issued: the walk went all the way round to `start`.
 }
 
 void

@@ -28,6 +28,7 @@
 
 #include "dram/dram.h"
 #include "memctl/bitfifo.h"
+#include "memctl/lane_mask.h"
 #include "memctl/params.h"
 
 namespace fleet {
@@ -47,7 +48,11 @@ class InputController
     /** True once every payload bit of the PU's stream is in (or through)
      * its buffer — drives the input_finished protocol signal together
      * with buffer emptiness. */
-    bool streamExhausted(int pu) const;
+    bool
+    streamExhausted(int pu) const
+    {
+        return pus_[pu].bitsBuffered == pus_[pu].region.streamBits;
+    }
 
     /** All streams fully issued, received, and drained into buffers. */
     bool done() const;
@@ -152,12 +157,27 @@ class InputController
     void acceptBeat();
     void issueAddresses();
     bool creditAvailable(const PuState &pu) const;
+    /** Re-derive the PU's bit in issuable_ after its burst counts
+     * changed. */
+    void
+    refreshIssuable(int pu)
+    {
+        issuable_.set(pu, pus_[pu].burstsIssued != pus_[pu].totalBursts);
+    }
     uint64_t burstPayloadBits(const PuState &pu, uint64_t burst_idx) const;
 
     dram::DramChannel &channel_;
     ControllerParams params_;
     std::vector<PuState> pus_;
     std::vector<BurstSlot> slots_;
+    /**
+     * PUs with bursts left to issue: the addressing unit's round-robin
+     * walk visits only these. Credit is checked on the visited unit
+     * itself — blocking addressing stops at the first one anyway.
+     */
+    LaneMask issuable_;
+    /** Burst registers holding a fully received burst (drainSlots). */
+    LaneMask drainable_;
     /** PUs of issued-but-not-fully-received bursts, in AR order. */
     std::deque<int> orderQueue_;
     int fillingSlot_ = -1; ///< Slot receiving the current burst's beats.

@@ -27,6 +27,7 @@
 
 #include "dram/dram.h"
 #include "memctl/bitfifo.h"
+#include "memctl/lane_mask.h"
 #include "memctl/params.h"
 
 namespace fleet {
@@ -40,8 +41,17 @@ class OutputController
                      std::vector<StreamRegion> regions);
 
     /** Per-PU output buffer the processing unit emits tokens into. */
-    BitFifo &buffer(int pu) { return pus_[pu].buffer; }
     const BitFifo &buffer(int pu) const { return pus_[pu].buffer; }
+
+    /** The PU emits one `width`-bit token into its buffer (the caller
+     * checks freeBits). Emits go through the controller, which keeps
+     * the addressing unit's ready set current. */
+    void
+    push(int pu, uint64_t value, int width)
+    {
+        pus_[pu].buffer.push(value, width);
+        refreshReady(pu);
+    }
 
     /** Inform the controller the PU asserted output_finished. */
     void setPuFinished(int pu);
@@ -140,12 +150,27 @@ class OutputController
     void fillSlots();
     void transmit();
     void issueAddresses();
-    bool burstReady(const PuState &pu) const;
+    /** Re-derive the PU's bits in live_ and ready_ after a change to
+     * its buffer, bitsPendingFill or protocol flags. */
+    void refreshReady(int pu);
 
     dram::DramChannel &channel_;
     ControllerParams params_;
     std::vector<PuState> pus_;
     std::vector<BurstSlot> slots_;
+    /**
+     * The addressing unit's round-robin walk visits set bits only.
+     * live_: units it does not skip forever — neither contained nor
+     * finished with every bit committed. ready_: live units with a
+     * burst to issue now (a full burst of uncommitted bits, or the
+     * final partial one).
+     */
+    LaneMask live_;
+    LaneMask ready_;
+    /** fillSlots scratch: fillStamp_[pu] == fillTick_ marks a PU with
+     * an earlier burst still filling this tick (no per-tick clear). */
+    std::vector<uint64_t> fillStamp_;
+    uint64_t fillTick_ = 0;
     std::deque<PendingBurst> orderQueue_;
     std::deque<OverflowEvent> overflowEvents_;
     int rrPointer_ = 0;

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "rtl/tape.h"
@@ -146,6 +147,27 @@ class BatchSimulator
     {
         size_t idx = size_t(slot) * lanes_ + lane;
         return elem32_ ? slots32_[idx] : slots64_[idx];
+    }
+
+    /**
+     * Base of one tape slot's SoA row: lane l's value is row[l]. T is
+     * the element type — uint32_t when elementBits() is 32, else
+     * uint64_t; the other type yields nullptr. The state arrays never
+     * reallocate after construction, so a caller can resolve its port
+     * rows once and then read or write them directly every cycle.
+     */
+    template <typename T>
+    T *
+    row(int32_t slot)
+    {
+        static_assert(std::is_same_v<T, uint32_t> ||
+                      std::is_same_v<T, uint64_t>);
+        if constexpr (std::is_same_v<T, uint32_t>)
+            return elem32_ ? slots32_.data() + size_t(slot) * lanes_
+                           : nullptr;
+        else
+            return elem32_ ? nullptr
+                           : slots64_.data() + size_t(slot) * lanes_;
     }
 
     /** Clock edge for every lane. */

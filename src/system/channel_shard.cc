@@ -52,6 +52,11 @@ ChannelShard::addPu(std::unique_ptr<ProcessingUnit> pu, int global_index,
     // PU index. Session arms overwrite this per job (rearmPu).
     slot.jobId = static_cast<uint64_t>(global_index);
     pus_.push_back(std::move(slot));
+    live_.push_back(1);
+    finished_.push_back(0);
+    handshake_.push_back(0);
+    emitted_.push_back(0);
+    puStats_.push_back(PuStats{});
     if (trace_)
         trace_->addPu(global_index);
 }
@@ -70,6 +75,7 @@ ChannelShard::containPu(int local, Status status)
     if (slot.failed)
         return;
     slot.failed = true;
+    live_[local] = 0;
     if (trace_)
         trace_->marker(local, cycles_,
                        std::string("contained: ") +
@@ -163,7 +169,7 @@ ChannelShard::beginRun(int input_token_width, int output_token_width,
     // Resolve which batched engine lane (if any) drives each local PU.
     // An empty locals list is the legacy arrangement: lane l <-> local
     // l, covering the whole channel.
-    laneOfLocal_.assign(pus_.size(), {-1, -1});
+    laneRef_.assign(pus_.size(), LaneRef{});
     for (size_t b = 0; b < batches_.size(); ++b) {
         BatchBinding &binding = batches_[b];
         if (binding.locals.empty() &&
@@ -185,12 +191,16 @@ ChannelShard::beginRun(int input_token_width, int output_token_width,
             if (local < 0 || local >= numPus())
                 panic("system: batch lane ", lane,
                       " binds out-of-range local PU ", local);
-            if (laneOfLocal_[local].first >= 0)
+            if (laneRef_[local].batch)
                 panic("system: local PU ", local,
                       " bound to two batched engines");
-            laneOfLocal_[local] = {static_cast<int>(b), lane};
+            laneRef_[local] = LaneRef{binding.batch.get(), lane};
         }
     }
+    unbatched_.clear();
+    for (int l = 0; l < numPus(); ++l)
+        if (!laneRef_[l].batch)
+            unbatched_.push_back(l);
     cycleIn_.assign(pus_.size(), PuInputs{});
     state_ = ShardState::Active;
 }
@@ -202,6 +212,9 @@ ChannelShard::step(uint64_t budget)
         return state_;
     const int in_width = inWidth_;
     const int out_width = outWidth_;
+    const int num_pus = numPus();
+    memctl::InputController &in_ctrl = *inputCtrl_;
+    memctl::OutputController &out_ctrl = *outputCtrl_;
 
     try {
         for (; budget > 0 && cycles_ < maxCycles_; ++cycles_, --budget) {
@@ -209,101 +222,97 @@ ChannelShard::step(uint64_t budget)
             bool all_finished = true;
 
             // Phase 1: latch every live PU's view of its controller
-            // buffers. These are pure reads of per-PU state, so
-            // gathering them all before any handshake acts is identical
-            // to the interleaved order — and lets the batched engine
-            // evaluate every lane in one vectorized sweep.
-            for (size_t l = 0; l < pus_.size(); ++l) {
-                PuSlot &slot = pus_[l];
-                if (slot.failed || slot.parked)
+            // buffers straight into its engine lane's input rows (or,
+            // for a per-unit lane, its PuInputs). These are pure reads
+            // of per-PU state, so gathering them all before any
+            // handshake acts is identical to the interleaved order —
+            // and lets the batched engines evaluate every lane in one
+            // vectorized sweep.
+            for (int l = 0; l < num_pus; ++l) {
+                if (!live_[l])
                     continue;
-                auto &in_buf = inputCtrl_->buffer(static_cast<int>(l));
-                auto &out_buf = outputCtrl_->buffer(static_cast<int>(l));
-                PuInputs in;
-                in.inputValid = in_buf.sizeBits() >= uint64_t(in_width);
-                in.inputToken = in.inputValid ? in_buf.peek(in_width) : 0;
-                in.inputFinished =
-                    inputCtrl_->streamExhausted(static_cast<int>(l)) &&
-                    in_buf.empty();
-                in.outputReady = out_buf.freeBits() >= uint64_t(out_width);
-                cycleIn_[l] = in;
-                if (laneOfLocal_[l].first >= 0) {
-                    batches_[laneOfLocal_[l].first].batch->setLaneInputs(
-                        laneOfLocal_[l].second, in);
-                }
+                const memctl::BitFifo &in_buf = in_ctrl.buffer(l);
+                const bool valid = in_buf.sizeBits() >= uint64_t(in_width);
+                const uint64_t token = valid ? in_buf.peek(in_width) : 0;
+                const bool finished =
+                    in_ctrl.streamExhausted(l) && in_buf.empty();
+                const bool ready = out_ctrl.buffer(l).freeBits() >=
+                                   uint64_t(out_width);
+                handshake_[l] = uint8_t(valid * kInputValid |
+                                        finished * kInputFinished |
+                                        ready * kOutputReady);
+                const LaneRef &ref = laneRef_[l];
+                if (ref.batch)
+                    ref.batch->setLaneInputs(ref.lane, token, valid,
+                                             finished, ready);
+                else
+                    cycleIn_[l] = PuInputs{token, valid, finished, ready};
             }
             for (BatchBinding &binding : batches_)
                 binding.batch->evalAll();
 
             // Phase 2: act on each PU's outputs (handshakes mutate only
             // that PU's buffers), classify the cycle, track completion.
-            for (size_t l = 0; l < pus_.size(); ++l) {
-                PuSlot &slot = pus_[l];
-                if (slot.failed || slot.parked) {
+            for (int l = 0; l < num_pus; ++l) {
+                if (!live_[l]) {
                     // Contained or awaiting a job: quarantined from the
                     // loop until retired / re-armed.
                     if (trace_)
-                        trace_->puCycle(static_cast<int>(l), cycles_,
-                                        trace::PuPhase::Done);
+                        trace_->puCycle(l, cycles_, trace::PuPhase::Done);
                     continue;
                 }
-                const bool was_finished = slot.finishedSeen;
-                auto &in_buf = inputCtrl_->buffer(static_cast<int>(l));
-                auto &out_buf = outputCtrl_->buffer(static_cast<int>(l));
+                const LaneRef &ref = laneRef_[l];
+                const PuOutputs out =
+                    ref.batch ? ref.batch->laneOutputs(ref.lane)
+                              : pus_[l].pu->eval(cycleIn_[l]);
+                const uint8_t latched = handshake_[l];
+                const bool valid = latched & kInputValid;
+                const bool finished = latched & kInputFinished;
+                const bool ready = latched & kOutputReady;
+                handshake_[l] = uint8_t(latched |
+                                        out.inputReady * kInputReady |
+                                        out.outputValid * kOutputValid);
 
-                const PuInputs &in = cycleIn_[l];
-                PuOutputs out =
-                    laneOfLocal_[l].first >= 0
-                        ? batches_[laneOfLocal_[l].first]
-                              .batch->laneOutputs(laneOfLocal_[l].second)
-                        : slot.pu->eval(in);
-                slot.lastIn = in;
-                slot.lastOut = out;
-
-                bool produced = false, consumed = false;
-                if (out.outputValid && in.outputReady) {
-                    out_buf.push(out.outputToken, out_width);
-                    slot.emittedBits += out_width;
-                    produced = true;
-                    activity = true;
+                const bool produced = out.outputValid && ready;
+                const bool consumed = out.inputReady && valid;
+                if (produced) {
+                    out_ctrl.push(l, out.outputToken, out_width);
+                    emitted_[l] += out_width;
                 }
-                if (out.inputReady && in.inputValid) {
-                    in_buf.pop(in_width);
-                    consumed = true;
-                    activity = true;
+                if (consumed)
+                    in_ctrl.buffer(l).pop(in_width);
+                const bool was_finished = finished_[l];
+                const bool finishing = out.outputFinished && !was_finished;
+                if (finishing) {
+                    out_ctrl.setPuFinished(l);
+                    finished_[l] = 1;
+                    puStats_[l].finishedAtCycle = cycles_;
                 }
-                if (out.outputFinished && !slot.finishedSeen) {
-                    outputCtrl_->setPuFinished(static_cast<int>(l));
-                    slot.finishedSeen = true;
-                    slot.stats.finishedAtCycle = cycles_;
-                    activity = true;
-                }
-                if (!slot.finishedSeen) {
-                    // Shared taxonomy (trace/taxonomy.h). Note these two
-                    // legacy counters are independent conditions, not
-                    // the exclusive phase partition the trace records.
-                    if (trace::inputStarved(out.inputReady, in.inputValid,
-                                            in.inputFinished))
-                        ++slot.stats.inputStarvedCycles;
-                    if (trace::outputBlocked(out.outputValid,
-                                             in.outputReady))
-                        ++slot.stats.outputBlockedCycles;
-                }
+                activity = activity || produced || consumed || finishing;
+                // Shared taxonomy (trace/taxonomy.h), counted until the
+                // unit finishes. Note these two legacy counters are
+                // independent conditions, not the exclusive phase
+                // partition the trace records.
+                const bool open = !(was_finished || finishing);
+                PuStats &stats = puStats_[l];
+                stats.inputStarvedCycles += uint64_t(
+                    open &&
+                    trace::inputStarved(out.inputReady, valid, finished));
+                stats.outputBlockedCycles += uint64_t(
+                    open && trace::outputBlocked(out.outputValid, ready));
                 if (trace_) {
                     trace::PuPhase phase;
                     if (was_finished)
                         phase = trace::PuPhase::Done;
-                    else if (consumed || produced ||
-                             (slot.finishedSeen && !was_finished))
+                    else if (consumed || produced || finishing)
                         phase = trace::PuPhase::Active;
                     else
                         phase = trace::phaseForStall(trace::classifyStall(
-                            out.inputReady, in.inputValid,
-                            in.inputFinished, out.outputValid,
-                            in.outputReady));
-                    trace_->puCycle(static_cast<int>(l), cycles_, phase);
+                            out.inputReady, valid, finished,
+                            out.outputValid, ready));
+                    trace_->puCycle(l, cycles_, phase);
                 }
-                all_finished = all_finished && slot.finishedSeen;
+                all_finished = all_finished && !open;
             }
 
             inputCtrl_->tick();
@@ -314,19 +323,15 @@ ChannelShard::step(uint64_t budget)
             // slots step per-unit.
             for (BatchBinding &binding : batches_)
                 binding.batch->step();
-            for (size_t l = 0; l < pus_.size(); ++l) {
-                PuSlot &slot = pus_[l];
-                if (laneOfLocal_[l].first < 0 && !slot.failed &&
-                    !slot.parked) {
-                    slot.pu->step();
-                }
-            }
+            for (int l : unbatched_)
+                if (live_[l])
+                    pus_[l].pu->step();
 
             // Containment events raised by this cycle's ticks. Polled
             // after the ticks so the kill takes effect from the next
             // cycle — the same point on every host thread count.
             while (auto parity = inputCtrl_->takeParityEvent()) {
-                if (pus_[parity->pu].finishedSeen)
+                if (finished_[parity->pu])
                     continue; // Already done; stale beat is harmless.
                 std::ostringstream os;
                 os << "PU " << pus_[parity->pu].globalIndex
@@ -427,7 +432,7 @@ ChannelShard::finishRun()
         if (!slot.failed) {
             if (channel_outcome.status.ok()) {
                 slot.outcome.status = Status::make(StatusCode::Ok);
-                slot.outcome.atCycle = slot.stats.finishedAtCycle;
+                slot.outcome.atCycle = puStats_[l].finishedAtCycle;
             } else {
                 slot.outcome.status = channel_outcome.status;
                 slot.outcome.atCycle = cycles_;
@@ -446,7 +451,7 @@ ChannelShard::puDrained(int local) const
     const PuSlot &slot = pus_[local];
     if (slot.parked || !slot.hasJob)
         return false;
-    if (!slot.finishedSeen && !slot.failed)
+    if (!finished_[local] && !slot.failed)
         return false;
     return inputCtrl_->puIdle(local) && outputCtrl_->puFlushed(local);
 }
@@ -463,18 +468,19 @@ ChannelShard::retireJob(int local)
     job.jobId = slot.jobId;
     job.armCycle = slot.armCycle;
     job.retireCycle = cycles_;
+    const PuStats &stats = puStats_[local];
     job.streamBits = slot.streamBits;
-    job.emittedBits = slot.emittedBits;
-    job.stats.inputStarvedCycles = slot.stats.inputStarvedCycles -
+    job.emittedBits = emitted_[local];
+    job.stats.inputStarvedCycles = stats.inputStarvedCycles -
                                    slot.statsAtArm.inputStarvedCycles;
-    job.stats.outputBlockedCycles = slot.stats.outputBlockedCycles -
+    job.stats.outputBlockedCycles = stats.outputBlockedCycles -
                                     slot.statsAtArm.outputBlockedCycles;
-    job.stats.finishedAtCycle = slot.stats.finishedAtCycle;
+    job.stats.finishedAtCycle = stats.finishedAtCycle;
     if (slot.failed) {
         job.outcome = slot.outcome; // Status recorded at containment.
     } else {
         job.outcome.status = Status::make(StatusCode::Ok);
-        job.outcome.atCycle = slot.stats.finishedAtCycle;
+        job.outcome.atCycle = stats.finishedAtCycle;
     }
     job.outcome.outputBits = outputCtrl_->payloadBits(local);
     job.outcome.jobId = slot.jobId;
@@ -488,14 +494,15 @@ ChannelShard::retireJob(int local)
     // completion check and channel-mates are unaffected; the next
     // rearmPu resets them.
     slot.pastInputBytes += ceilDiv(slot.streamBits, 8);
-    slot.pastOutputBytes += ceilDiv(slot.emittedBits, 8);
+    slot.pastOutputBytes += ceilDiv(emitted_[local], 8);
     ++slot.jobsRetired;
     slot.parked = true;
     slot.hasJob = false;
     slot.failed = false;
-    slot.finishedSeen = false;
+    live_[local] = 0;
+    finished_[local] = 0;
     slot.streamBits = 0;
-    slot.emittedBits = 0;
+    emitted_[local] = 0;
     recomputeWatchdogBudget();
     return job;
 }
@@ -505,6 +512,7 @@ ChannelShard::parkPu(int local)
 {
     PuSlot &slot = pus_[local];
     slot.parked = true;
+    live_[local] = 0;
     slot.hasJob = false;
     slot.streamBits = 0;
     // A parked lane counts as finished-and-flushed so it never blocks
@@ -531,14 +539,14 @@ ChannelShard::rearmPu(int local, uint64_t stream_bits, uint64_t job_id)
     slot.jobId = job_id;
     slot.armCycle = cycles_;
     slot.streamBits = stream_bits;
-    slot.emittedBits = 0;
-    slot.finishedSeen = false;
     slot.failed = false;
-    slot.statsAtArm = slot.stats;
-    slot.stats.finishedAtCycle = 0;
+    live_[local] = 1;
+    finished_[local] = 0;
+    handshake_[local] = 0;
+    emitted_[local] = 0;
+    slot.statsAtArm = puStats_[local];
+    puStats_[local].finishedAtCycle = 0;
     slot.outcome = PuOutcome{};
-    slot.lastIn = PuInputs{};
-    slot.lastOut = PuOutputs{};
     // Fresh work: the stretch the slot sat parked must not count
     // against the forward-progress watchdog.
     lastActivityCycle_ = cycles_;
@@ -554,32 +562,34 @@ ChannelShard::finalizeStats()
     stats_.numPus = numPus();
     stats_.beatsDelivered = channel_->beatsDelivered();
     stats_.beatsWritten = channel_->beatsWritten();
-    for (const auto &slot : pus_) {
+    for (size_t l = 0; l < pus_.size(); ++l) {
+        const PuSlot &slot = pus_[l];
         // Past* are the retired jobs' roll-ups (always 0 one-shot).
         stats_.inputBytes += slot.pastInputBytes +
                              ceilDiv(slot.streamBits, 8);
         stats_.outputBytes += slot.pastOutputBytes +
-                              ceilDiv(slot.emittedBits, 8);
-        stats_.inputStarvedCycles += slot.stats.inputStarvedCycles;
-        stats_.outputBlockedCycles += slot.stats.outputBlockedCycles;
+                              ceilDiv(emitted_[l], 8);
+        stats_.inputStarvedCycles += puStats_[l].inputStarvedCycles;
+        stats_.outputBlockedCycles += puStats_[l].outputBlockedCycles;
     }
 }
 
 const char *
-ChannelShard::stallReason(const PuSlot &slot) const
+ChannelShard::stallReason(int local) const
 {
+    const PuSlot &slot = pus_[local];
     if (slot.failed)
         return "contained";
     if (slot.parked)
         return "parked";
-    if (slot.finishedSeen)
+    if (finished_[local])
         return "finished";
     // Shared classification (trace/taxonomy.h) over the last cycle's
     // latched handshake — the same attribution the trace layer records.
+    const uint8_t hs = handshake_[local];
     return trace::stallCauseName(trace::classifyStall(
-        slot.lastOut.inputReady, slot.lastIn.inputValid,
-        slot.lastIn.inputFinished, slot.lastOut.outputValid,
-        slot.lastIn.outputReady));
+        hs & kInputReady, hs & kInputValid, hs & kInputFinished,
+        hs & kOutputValid, hs & kOutputReady));
 }
 
 trace::ChannelTrace
@@ -619,9 +629,9 @@ ChannelShard::takeTrace()
         }
         set.set("stream_bits", slot.streamBits);
         set.set("delivered_bits", inputCtrl_->puBitsDelivered(local));
-        set.set("emitted_bits", slot.emittedBits);
+        set.set("emitted_bits", emitted_[l]);
         set.set("flushed_payload_bits", outputCtrl_->payloadBits(local));
-        set.set("finished_at_cycle", slot.stats.finishedAtCycle);
+        set.set("finished_at_cycle", puStats_[l].finishedAtCycle);
         set.set("contained", slot.failed ? 1 : 0);
         set.set("jobs_retired", slot.jobsRetired);
         slot.pu->appendCounters(set);
@@ -640,13 +650,13 @@ ChannelShard::watchdogDump(uint64_t stalled_cycles) const
     for (size_t l = 0; l < pus_.size(); ++l) {
         const PuSlot &slot = pus_[l];
         os << "  PU " << slot.globalIndex << " (local " << l
-           << "): " << stallReason(slot) << "; in-fifo "
+           << "): " << stallReason(static_cast<int>(l)) << "; in-fifo "
            << inputCtrl_->buffer(static_cast<int>(l)).sizeBits()
            << " bits, out-fifo "
            << outputCtrl_->buffer(static_cast<int>(l)).sizeBits()
-           << " bits, emitted " << slot.emittedBits << " bits, starved "
-           << slot.stats.inputStarvedCycles << " cycles, blocked "
-           << slot.stats.outputBlockedCycles << " cycles\n";
+           << " bits, emitted " << emitted_[l] << " bits, starved "
+           << puStats_[l].inputStarvedCycles << " cycles, blocked "
+           << puStats_[l].outputBlockedCycles << " cycles\n";
     }
     os << "  input-ctrl in-flight bursts " << inputCtrl_->inflightBursts()
        << ", output-ctrl pending bursts " << outputCtrl_->pendingBursts()

@@ -293,8 +293,8 @@ class ChannelShard
 
     /// @name Per-PU results, by local index (valid after run()).
     /// @{
-    const PuStats &puStats(int local) const { return pus_[local].stats; }
-    uint64_t emittedBits(int local) const { return pus_[local].emittedBits; }
+    const PuStats &puStats(int local) const { return puStats_[local]; }
+    uint64_t emittedBits(int local) const { return emitted_[local]; }
     uint64_t flushedPayloadBits(int local) const
     {
         return outputCtrl_->payloadBits(local);
@@ -319,13 +319,13 @@ class ChannelShard
     trace::ChannelTrace takeTrace();
 
   private:
+    /** A unit's cold state; the cycle loop's per-lane state lives in
+     * the dense arrays below instead. */
     struct PuSlot
     {
         std::unique_ptr<ProcessingUnit> pu;
         int globalIndex = -1;
         uint64_t streamBits = 0;
-        uint64_t emittedBits = 0;
-        bool finishedSeen = false;
         bool failed = false; ///< Contained: skipped until re-armed.
         bool parked = false; ///< No job: skipped, never blocks finish.
         /** Armed via rearmPu (job runtime) — a trace job span is open.
@@ -337,13 +337,27 @@ class ChannelShard
         uint64_t pastInputBytes = 0;
         uint64_t pastOutputBytes = 0;
         uint64_t jobsRetired = 0;
-        PuStats stats;
         /** Snapshot at arm — per-job stall slices are deltas. */
         PuStats statsAtArm;
         PuOutcome outcome;
-        /** Last cycle's handshake, for the watchdog's stall diagnosis. */
-        PuInputs lastIn;
-        PuOutputs lastOut;
+    };
+
+    /** Where a local unit is evaluated: lane `lane` of `batch`, or
+     * per-unit through its ProcessingUnit when batch is null. */
+    struct LaneRef
+    {
+        RtlBatch *batch = nullptr;
+        int lane = -1;
+    };
+
+    /** Bits of handshake_: the latched inputs, then the outputs. */
+    enum : uint8_t
+    {
+        kInputValid = 1,
+        kInputFinished = 2,
+        kOutputReady = 4,
+        kInputReady = 8,
+        kOutputValid = 16,
     };
 
     /** Quarantine one PU: kill it in both controllers, record why. */
@@ -355,7 +369,7 @@ class ChannelShard
     /** Multi-line forward-progress diagnostic for a watchdog trip. */
     std::string watchdogDump(uint64_t stalled_cycles) const;
     /** One PU's stall classification for the watchdog dump. */
-    const char *stallReason(const PuSlot &slot) const;
+    const char *stallReason(int local) const;
 
     int channelIndex_;
     trace::TraceConfig traceConfig_;
@@ -367,6 +381,18 @@ class ChannelShard
     std::unique_ptr<memctl::InputController> inputCtrl_;
     std::unique_ptr<memctl::OutputController> outputCtrl_;
     std::vector<PuSlot> pus_;
+    /// @name Per-lane loop state, indexed by local PU (SoA).
+    /// @{
+    /** 1 unless the slot is contained or parked. */
+    std::vector<uint8_t> live_;
+    /** 1 once the unit asserted output_finished in this job. */
+    std::vector<uint8_t> finished_;
+    /** Last cycle's handshake (k* bits): the latch writes the inputs,
+     * the handshake adds the outputs; the watchdog dump reads it. */
+    std::vector<uint8_t> handshake_;
+    std::vector<uint64_t> emitted_;
+    std::vector<PuStats> puStats_;
+    /// @}
     /** One batched RTL engine + the local PU index behind each of its
      * lanes. Locals covered by a binding are group-evaluated. */
     struct BatchBinding
@@ -375,10 +401,11 @@ class ChannelShard
         std::vector<int> locals; ///< Empty = identity over all PUs.
     };
     std::vector<BatchBinding> batches_;
-    /** Per-local (batch index, lane in batch); (-1, -1) = unbatched,
-     * evaluated per-unit. Resolved by beginRun(). */
-    std::vector<std::pair<int, int>> laneOfLocal_;
-    /** Per-cycle scratch: every live PU's gathered input ports. */
+    /** Per-local engine lane, resolved by beginRun(). */
+    std::vector<LaneRef> laneRef_;
+    /** Locals evaluated per-unit (no batch), resolved by beginRun(). */
+    std::vector<int> unbatched_;
+    /** Per-cycle scratch: each per-unit lane's latched input ports. */
     std::vector<PuInputs> cycleIn_;
     uint64_t cycles_ = 0;
     ChannelStats stats_;

@@ -1,6 +1,7 @@
 #include "system/pu_rtl_batch.h"
 
 #include "rtl/jit.h"
+#include "util/bits.h"
 #include "util/logging.h"
 
 namespace fleet {
@@ -37,16 +38,37 @@ RtlBatch::RtlBatch(std::shared_ptr<const RtlTapeEngine> engine, int lanes,
               lanes_, " PUs");
     if (jit)
         sim_.attachJit(std::move(jit));
+    elem32_ = sim_.elementBits() == 32;
+    tokenMask_ = mask64(
+        engine_->tape()->inputWidth[engine_->unit().inInputToken]);
+    if (elem32_)
+        resolveRows(rows32_, sink32_);
+    else
+        resolveRows(rows64_, sink64_);
 }
 
+template <typename T>
 void
-RtlBatch::setLaneInputs(int lane, const PuInputs &in)
+RtlBatch::resolveRows(PortRows<T> &rows, std::vector<T> &sink)
 {
     const auto &unit = engine_->unit();
-    sim_.setInput(lane, unit.inInputToken, in.inputToken);
-    sim_.setInput(lane, unit.inInputValid, in.inputValid ? 1 : 0);
-    sim_.setInput(lane, unit.inInputFinished, in.inputFinished ? 1 : 0);
-    sim_.setInput(lane, unit.inOutputReady, in.outputReady ? 1 : 0);
+    const rtl::TapeProgram &tape = *engine_->tape();
+    const int in_ports[4] = {unit.inInputToken, unit.inInputValid,
+                             unit.inInputFinished, unit.inOutputReady};
+    for (int i = 0; i < 4; ++i) {
+        int32_t slot = tape.inputSlot[in_ports[i]];
+        if (slot >= 0) {
+            rows.in[i] = sim_.row<T>(slot);
+        } else {
+            sink.resize(sim_.lanes());
+            rows.in[i] = sink.data();
+        }
+    }
+    const rtl::NodeId out_nodes[4] = {
+        unit.outInputReady, unit.outOutputToken, unit.outOutputValid,
+        unit.outOutputFinished};
+    for (int i = 0; i < 4; ++i)
+        rows.out[i] = sim_.row<T>(tape.slotOf(out_nodes[i]));
 }
 
 void
@@ -59,18 +81,6 @@ void
 RtlBatch::evalLane(int lane)
 {
     sim_.evalLane(lane);
-}
-
-PuOutputs
-RtlBatch::laneOutputs(int lane) const
-{
-    const auto &unit = engine_->unit();
-    PuOutputs out;
-    out.inputReady = sim_.value(lane, unit.outInputReady) != 0;
-    out.outputToken = sim_.value(lane, unit.outOutputToken);
-    out.outputValid = sim_.value(lane, unit.outOutputValid) != 0;
-    out.outputFinished = sim_.value(lane, unit.outOutputFinished) != 0;
-    return out;
 }
 
 void

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <string>
+
 #include "dram/dram.h"
 #include "memctl/bitfifo.h"
 #include "memctl/input_controller.h"
@@ -75,6 +79,79 @@ TEST(BitFifo, MisalignedWidthsAcrossWrap)
         EXPECT_EQ(fifo.pop(7), uint64_t(round & 0x7f));
         EXPECT_EQ(fifo.pop(9), uint64_t(round & 0x1ff));
     }
+}
+
+TEST(BitFifo, MatchesBitDequeModel)
+{
+    // Differential check of the word-level ring against a bit-at-a-time
+    // std::deque<bool> reference: random widths 0..64 over capacities
+    // at and around word boundaries. The ring is a whole number of
+    // 64-bit words, so tail % ring tells when a 64-bit token straddles
+    // the ring end; every multi-word capacity must see that happen.
+    for (uint64_t capacity : {1, 63, 64, 65, 130, 543}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        BitFifo fifo(capacity);
+        std::deque<bool> model;
+        const uint64_t ring =
+            std::max<uint64_t>(64, ceilDiv(capacity, 64) * 64);
+        uint64_t tail = 0;
+        int straddles64 = 0;
+        Rng rng(capacity);
+        for (int step = 0; step < 20000; ++step) {
+            int width = static_cast<int>(rng.nextBelow(65));
+            if (rng.nextChance(1, 2)) {
+                if (fifo.freeBits() < uint64_t(width))
+                    continue;
+                uint64_t value = rng.next();
+                if (width == 64 && tail % ring + 64 > ring)
+                    ++straddles64;
+                fifo.push(value, width);
+                for (int b = 0; b < width; ++b)
+                    model.push_back((value >> b) & 1);
+                tail += width;
+            } else {
+                if (fifo.sizeBits() < uint64_t(width))
+                    continue;
+                uint64_t want = 0;
+                for (int b = 0; b < width; ++b)
+                    want |= uint64_t(model[b]) << b;
+                ASSERT_EQ(fifo.peek(width), want) << "step " << step;
+                ASSERT_EQ(fifo.pop(width), want) << "step " << step;
+                model.erase(model.begin(), model.begin() + width);
+            }
+            ASSERT_EQ(fifo.sizeBits(), model.size()) << "step " << step;
+            ASSERT_EQ(fifo.freeBits(), capacity - model.size())
+                << "step " << step;
+            ASSERT_EQ(fifo.empty(), model.empty()) << "step " << step;
+        }
+        if (capacity > 64) {
+            EXPECT_GT(straddles64, 0);
+        }
+    }
+}
+
+TEST(BitFifo, BadWidthAndBoundsStillPanic)
+{
+    BitFifo fifo(130);
+    EXPECT_THROW(fifo.push(0, -1), PanicError);
+    EXPECT_THROW(fifo.push(0, 65), PanicError);
+    EXPECT_THROW(fifo.peek(-1), PanicError);
+    EXPECT_THROW(fifo.peek(65), PanicError);
+    EXPECT_THROW(fifo.pop(65), PanicError);
+    EXPECT_THROW(fifo.pop(1), PanicError); // Underflow on empty.
+    fifo.push(~uint64_t(0), 64);
+    fifo.push(~uint64_t(0), 64);
+    EXPECT_THROW(fifo.push(0, 3), PanicError); // 2 bits free.
+    fifo.push(3, 2);
+    EXPECT_EQ(fifo.freeBits(), 0u);
+    EXPECT_THROW(fifo.push(0, 1), PanicError);
+    EXPECT_EQ(fifo.pop(64), ~uint64_t(0));
+    EXPECT_THROW(fifo.peek(67), PanicError);
+    EXPECT_THROW(fifo.pop(64 + 3), PanicError);
+    EXPECT_EQ(fifo.pop(64), ~uint64_t(0));
+    EXPECT_THROW(fifo.pop(3), PanicError); // Only 2 bits left.
+    EXPECT_EQ(fifo.pop(2), 3u);
+    EXPECT_TRUE(fifo.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +318,7 @@ TEST(OutputController, CollectsAndFlushesAllOutput)
         for (int p = 0; p < pus; ++p) {
             if (emitted[p] < total[p] && ctrl.buffer(p).freeBits() >= 8 &&
                 rng.nextChance(1, p + 1)) {
-                ctrl.buffer(p).push(uint8_t(emitted[p] * 3 + p), 8);
+                ctrl.push(p, uint8_t(emitted[p] * 3 + p), 8);
                 if (++emitted[p] == total[p])
                     ctrl.setPuFinished(p);
             }
@@ -288,8 +365,8 @@ TEST(OutputController, NonDividingTokenWidthNeedsNoDoubleBuffer)
         for (int cycle = 0; cycle < 30000 && !done; ++cycle) {
             if (emitted < kTokens &&
                 ctrl.buffer(0).freeBits() >= kTokenBits) {
-                ctrl.buffer(0).push((emitted * 5 + 3) & mask64(kTokenBits),
-                                    kTokenBits);
+                ctrl.push(0, (emitted * 5 + 3) & mask64(kTokenBits),
+                             kTokenBits);
                 if (++emitted == kTokens)
                     ctrl.setPuFinished(0);
             }
@@ -408,7 +485,7 @@ TEST(OutputController, NonblockingSkipsSlowProducer)
     for (int cycle = 0; cycle < 4000; ++cycle) {
         // PU 0 silent; PU 1 emits 32 bits/cycle.
         if (ctrl.buffer(1).freeBits() >= 32)
-            ctrl.buffer(1).push(cycle, 32);
+            ctrl.push(1, cycle, 32);
         ctrl.tick();
         ch.tick();
         if (cycle == 3999)
@@ -424,7 +501,7 @@ TEST(OutputController, NonblockingSkipsSlowProducer)
     OutputController ctrl2(ch2, blocking, regions);
     for (int cycle = 0; cycle < 4000; ++cycle) {
         if (ctrl2.buffer(1).freeBits() >= 32)
-            ctrl2.buffer(1).push(cycle, 32);
+            ctrl2.push(1, cycle, 32);
         ctrl2.tick();
         ch2.tick();
     }
@@ -441,7 +518,7 @@ TEST(OutputController, OverflowingRegionContained)
     OutputController ctrl(ch, params, regions);
     for (int cycle = 0; cycle < 2000; ++cycle) {
         if (ctrl.buffer(0).freeBits() >= 32)
-            ctrl.buffer(0).push(0xdeadbeef, 32);
+            ctrl.push(0, 0xdeadbeef, 32);
         ctrl.tick();
         ch.tick();
     }
@@ -604,9 +681,9 @@ TEST(OutputController, RearmFlushesConsecutiveStreamsBitExact)
         for (int cycle = 0; cycle < 60000; ++cycle) {
             if (emitted < tokens &&
                 ctrl.buffer(0).freeBits() >= uint64_t(kTokenBits)) {
-                ctrl.buffer(0).push((emitted * mult + add) &
-                                        mask64(kTokenBits),
-                                    kTokenBits);
+                ctrl.push(0, (emitted * mult + add) &
+                                 mask64(kTokenBits),
+                             kTokenBits);
                 if (++emitted == tokens)
                     ctrl.setPuFinished(0);
             }
@@ -650,7 +727,7 @@ TEST(OutputController, RearmAfterOverflowClearsContainment)
     OutputController ctrl(ch, params, regions);
     for (int cycle = 0; cycle < 2000; ++cycle) {
         if (ctrl.buffer(0).freeBits() >= 32)
-            ctrl.buffer(0).push(0xdeadbeef, 32);
+            ctrl.push(0, 0xdeadbeef, 32);
         ctrl.tick();
         ch.tick();
     }
@@ -666,7 +743,7 @@ TEST(OutputController, RearmAfterOverflowClearsContainment)
     const uint64_t kWords = 16; // 64 bytes < 128-byte region
     for (int cycle = 0; cycle < 4000; ++cycle) {
         if (emitted < kWords && ctrl.buffer(0).freeBits() >= 32) {
-            ctrl.buffer(0).push(emitted * 9 + 1, 32);
+            ctrl.push(0, emitted * 9 + 1, 32);
             if (++emitted == kWords)
                 ctrl.setPuFinished(0);
         }
@@ -692,8 +769,8 @@ TEST(OutputController, RearmBeforeFlushPanics)
     params.blockingAddressing = false;
     std::vector<StreamRegion> regions = {{0, 4096, 0}};
     OutputController ctrl(ch, params, regions);
-    ctrl.buffer(0).push(0xff, 8); // un-flushed output in flight
-    EXPECT_THROW(ctrl.rearmPu(0), PanicError);
+    ctrl.push(0, 0xff, 8); // un-flushed output in flight
+EXPECT_THROW(ctrl.rearmPu(0), PanicError);
 }
 
 } // namespace
