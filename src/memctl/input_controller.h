@@ -41,9 +41,40 @@ class InputController
                     const ControllerParams &params,
                     std::vector<StreamRegion> regions);
 
-    /** Per-PU input buffer the processing unit consumes tokens from. */
-    BitFifo &buffer(int pu) { return pus_[pu].buffer; }
+    /** Per-PU input buffer the processing unit consumes tokens from.
+     * Read-only: tokens leave through pop(), which keeps the lane
+     * views current. */
     const BitFifo &buffer(int pu) const { return pus_[pu].buffer; }
+
+    /** The PU consumes one `width`-bit token (the caller checks the
+     * buffer holds one). */
+    uint64_t
+    pop(int pu, int width)
+    {
+        const uint64_t value = pus_[pu].buffer.pop(width);
+        refreshView(pu);
+        return value;
+    }
+
+    /// @name Lane views: what the shard's latch reads, one dense entry
+    /// per PU, derived from the buffers at the token width.
+    /// @{
+    /** laneFlags() bits. */
+    enum : uint8_t
+    {
+        /** A whole token is buffered (input_valid). */
+        kWholeToken = 1,
+        /** The stream is exhausted and the buffer drained
+         * (input_finished). */
+        kFinished = 2,
+    };
+    /** Width the views read at; set before the first cycle. */
+    void setTokenWidth(int bits);
+    /** Per PU: the head token when kWholeToken is set, else 0. */
+    const uint64_t *headTokens() const { return headToken_.data(); }
+    /** Per PU: kWholeToken | kFinished bits. */
+    const uint8_t *laneFlags() const { return laneFlags_.data(); }
+    /// @}
 
     /** True once every payload bit of the PU's stream is in (or through)
      * its buffer — drives the input_finished protocol signal together
@@ -165,6 +196,18 @@ class InputController
         issuable_.set(pu, pus_[pu].burstsIssued != pus_[pu].totalBursts);
     }
     uint64_t burstPayloadBits(const PuState &pu, uint64_t burst_idx) const;
+    /** Re-derive the PU's lane views after its buffer or stream
+     * accounting changed. */
+    void
+    refreshView(int p)
+    {
+        const PuState &pu = pus_[p];
+        const bool whole = pu.buffer.sizeBits() >= uint64_t(tokenWidth_);
+        const bool finished = pu.bitsBuffered == pu.region.streamBits &&
+                              pu.buffer.empty();
+        headToken_[p] = whole ? pu.buffer.peek(tokenWidth_) : 0;
+        laneFlags_[p] = uint8_t(whole * kWholeToken | finished * kFinished);
+    }
 
     dram::DramChannel &channel_;
     ControllerParams params_;
@@ -178,6 +221,9 @@ class InputController
     LaneMask issuable_;
     /** Burst registers holding a fully received burst (drainSlots). */
     LaneMask drainable_;
+    int tokenWidth_ = 0;
+    std::vector<uint64_t> headToken_;
+    std::vector<uint8_t> laneFlags_;
     /** PUs of issued-but-not-fully-received bursts, in AR order. */
     std::deque<int> orderQueue_;
     int fillingSlot_ = -1; ///< Slot receiving the current burst's beats.

@@ -53,6 +53,15 @@ class OutputController
         refreshReady(pu);
     }
 
+    /// @name Lane view: what the shard's latch reads, one dense entry
+    /// per PU, derived from the buffers at the token width.
+    /// @{
+    /** Width the view reads at; set before the first cycle. */
+    void setTokenWidth(int bits);
+    /** Per PU: 1 when a whole token fits the buffer (output_ready). */
+    const uint8_t *tokenFits() const { return tokenFits_.data(); }
+    /// @}
+
     /** Inform the controller the PU asserted output_finished. */
     void setPuFinished(int pu);
 
@@ -150,9 +159,16 @@ class OutputController
     void fillSlots();
     void transmit();
     void issueAddresses();
-    /** Re-derive the PU's bits in live_ and ready_ after a change to
-     * its buffer, bitsPendingFill or protocol flags. */
+    /** Re-derive the PU's bits in live_ and ready_, and its lane view,
+     * after a change to its buffer, bitsPendingFill or protocol
+     * flags. */
     void refreshReady(int pu);
+    void
+    refreshFits(int pu)
+    {
+        tokenFits_[pu] =
+            pus_[pu].buffer.freeBits() >= uint64_t(tokenWidth_);
+    }
 
     dram::DramChannel &channel_;
     ControllerParams params_;
@@ -167,6 +183,8 @@ class OutputController
      */
     LaneMask live_;
     LaneMask ready_;
+    int tokenWidth_ = 0;
+    std::vector<uint8_t> tokenFits_;
     /** fillSlots scratch: fillStamp_[pu] == fillTick_ marks a PU with
      * an earlier burst still filling this tick (no per-tick clear). */
     std::vector<uint64_t> fillStamp_;

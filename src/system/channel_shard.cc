@@ -1,15 +1,173 @@
 #include "system/channel_shard.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <sstream>
 
 #include "system/pu_rtl_batch.h"
+#include "trace/taxonomy.h"
 #include "util/bits.h"
 #include "util/logging.h"
 #include "util/status.h"
 
 namespace fleet {
 namespace system {
+
+namespace {
+
+/** Bits of a lane's event byte: what its handshake does this cycle
+ * (bit k is eventLanes' kind k). */
+enum : unsigned
+{
+    kProduced = 1,
+    kConsumed = 2,
+    kFinishing = 4,
+};
+
+static_assert(int(memctl::InputController::kWholeToken) ==
+                  int(kInputValid) &&
+              int(memctl::InputController::kFinished) ==
+                  int(kInputFinished));
+// The byte rows are read and written eight lanes per 64-bit word, lane
+// i in byte i.
+static_assert(std::endian::native == std::endian::little);
+
+uint64_t
+loadWord(const uint8_t *bytes)
+{
+    uint64_t word;
+    std::memcpy(&word, bytes, sizeof word);
+    return word;
+}
+
+void
+storeWord(uint8_t *bytes, uint64_t word)
+{
+    std::memcpy(bytes, &word, sizeof word);
+}
+
+/** The latch over a shard's dense rows: each live unit's input bits
+ * from the controllers' lane views (zero when not live). */
+void
+latchHandshakes(int num_pus, const uint8_t *__restrict in_flags,
+                const uint8_t *__restrict fits,
+                const uint8_t *__restrict live, uint8_t *__restrict hs_row)
+{
+    for (int l = 0; l < num_pus; ++l)
+        hs_row[l] = uint8_t((in_flags[l] | fits[l] * kOutputReady) &
+                            -live[l]);
+}
+
+constexpr uint64_t kOnes = 0x0101010101010101ULL;
+
+/** Handshake flag `flag` of each of eight lanes (one byte each),
+ * moved to bit 0 of its byte. */
+constexpr uint64_t
+laneFlag(uint64_t hs, unsigned flag)
+{
+    return hs >> std::countr_zero(flag) & kOnes;
+}
+
+/** trace::inputStarved per lane: wants input, none valid, stream not
+ * finished. */
+constexpr uint64_t
+starvedLanes(uint64_t hs)
+{
+    return laneFlag(hs, kInputReady) &
+           ((laneFlag(hs, kInputValid) | laneFlag(hs, kInputFinished)) ^
+            kOnes);
+}
+
+/** trace::outputBlocked per lane: output valid, not ready. */
+constexpr uint64_t
+blockedLanes(uint64_t hs)
+{
+    return laneFlag(hs, kOutputValid) & (laneFlag(hs, kOutputReady) ^ kOnes);
+}
+
+constexpr bool
+lanesMatchTaxonomy()
+{
+    for (unsigned hs = 0; hs < 64; ++hs) {
+        if (bool(starvedLanes(hs)) !=
+            trace::inputStarved(hs & kInputReady, hs & kInputValid,
+                                hs & kInputFinished))
+            return false;
+        if (bool(blockedLanes(hs)) !=
+            trace::outputBlocked(hs & kOutputValid, hs & kOutputReady))
+            return false;
+    }
+    return true;
+}
+static_assert(lanesMatchTaxonomy());
+
+/**
+ * The handshake's mask pass over a shard's dense rows, eight lanes per
+ * 64-bit word (one byte each; every shift is masked back within its
+ * byte): per lane, the produced / consumed / finishing event bits (0
+ * unless live) and the stall counters' increments. A unit stays open
+ * until it finishes; the counters follow the shared taxonomy while it
+ * is open — two independent conditions, not the exclusive phase
+ * partition the trace records. Returns whether any event bit is set;
+ * sets all_finished when no live unit is open.
+ */
+bool
+handshakeMasks(int words, const uint8_t *hs_row, const uint8_t *live,
+               const uint8_t *finished, uint8_t *events, uint8_t *starved,
+               uint8_t *blocked, bool &all_finished)
+{
+    uint64_t any_event = 0;
+    uint64_t any_open = 0;
+    for (int w = 0; w < words; ++w) {
+        const uint64_t hs = loadWord(hs_row + 8 * w);
+        const uint64_t on = loadWord(live + 8 * w);
+        const uint64_t was_finished = loadWord(finished + 8 * w);
+        const uint64_t out_finished = laneFlag(hs, kOutputFinished);
+        const uint64_t produced =
+            laneFlag(hs, kOutputValid) & laneFlag(hs, kOutputReady);
+        const uint64_t consumed =
+            laneFlag(hs, kInputReady) & laneFlag(hs, kInputValid);
+        const uint64_t finishing = out_finished & (was_finished ^ kOnes);
+        const uint64_t open = on & ((was_finished | out_finished) ^ kOnes);
+        const uint64_t event = (produced * kProduced |
+                                consumed * kConsumed |
+                                finishing * kFinishing) &
+                               on * 7;
+        // Bytewise adds: a pending counter byte is folded before it
+        // wraps, so no add carries into the next lane.
+        storeWord(starved + 8 * w,
+                  loadWord(starved + 8 * w) + (open & starvedLanes(hs)));
+        storeWord(blocked + 8 * w,
+                  loadWord(blocked + 8 * w) + (open & blockedLanes(hs)));
+        storeWord(events + 8 * w, event);
+        any_event |= event;
+        any_open |= open;
+    }
+    all_finished = any_open == 0;
+    return any_event != 0;
+}
+
+/**
+ * One bit per lane of each event kind (indexed by the kind's bit
+ * position), from `words` x 8 event bytes: at most 64 lanes.
+ */
+void
+eventLanes(const uint8_t *events, int words, uint64_t (&lanes)[3])
+{
+    lanes[0] = lanes[1] = lanes[2] = 0;
+    for (int w = 0; w < words; ++w) {
+        const uint64_t word = loadWord(events + 8 * w);
+        // Bit k of byte i sits at 8i + k; the multiply moves bit 8i to
+        // 56 + i (no two partial products meet, so nothing carries).
+        for (int k = 0; k < 3; ++k) {
+            const uint64_t low = word >> k & kOnes;
+            lanes[k] |= (low * 0x0102040810204080ULL >> 56) << (8 * w);
+        }
+    }
+}
+
+} // namespace
 
 ChannelShard::ChannelShard(int channel_index,
                            const dram::DramParams &dram_params,
@@ -52,11 +210,19 @@ ChannelShard::addPu(std::unique_ptr<ProcessingUnit> pu, int global_index,
     // PU index. Session arms overwrite this per job (rearmPu).
     slot.jobId = static_cast<uint64_t>(global_index);
     pus_.push_back(std::move(slot));
-    live_.push_back(1);
-    finished_.push_back(0);
-    handshake_.push_back(0);
+    // The byte rows the mask pass reads a word at a time are padded
+    // with zeros to whole 64-bit words (a padding lane is not live).
+    const size_t padded = roundUp(pus_.size(), 8);
+    for (std::vector<uint8_t> *row :
+         {&live_, &finished_, &handshake_, &events_, &starvedPending_,
+          &blockedPending_})
+        row->resize(padded, 0);
+    live_[pus_.size() - 1] = 1;
+    outToken_.push_back(0);
     emitted_.push_back(0);
-    puStats_.push_back(PuStats{});
+    starved_.push_back(0);
+    blocked_.push_back(0);
+    finishedAt_.push_back(0);
     if (trace_)
         trace_->addPu(global_index);
 }
@@ -65,7 +231,10 @@ void
 ChannelShard::attachBatch(std::shared_ptr<RtlBatch> batch,
                           std::vector<int> locals)
 {
-    batches_.push_back(BatchBinding{std::move(batch), std::move(locals)});
+    GroupBinding binding;
+    binding.group = std::move(batch);
+    binding.locals = std::move(locals);
+    batches_.push_back(std::move(binding));
 }
 
 void
@@ -166,43 +335,150 @@ ChannelShard::beginRun(int input_token_width, int output_token_width,
     cycles_ = 0;
     recomputeWatchdogBudget();
 
-    // Resolve which batched engine lane (if any) drives each local PU.
+    // Resolve the lane groups: every local PU belongs to exactly one.
     // An empty locals list is the legacy arrangement: lane l <-> local
     // l, covering the whole channel.
-    laneRef_.assign(pus_.size(), LaneRef{});
-    for (size_t b = 0; b < batches_.size(); ++b) {
-        BatchBinding &binding = batches_[b];
-        if (binding.locals.empty() &&
-            binding.batch->lanes() != numPus()) {
-            panic("system: batched RTL engine has ",
-                  binding.batch->lanes(), " lanes for ", numPus(),
-                  " PUs");
+    inputCtrl_->setTokenWidth(inWidth_);
+    outputCtrl_->setTokenWidth(outWidth_);
+    groups_.clear();
+    std::vector<char> covered(pus_.size(), 0);
+    for (const GroupBinding &binding : batches_) {
+        const int lanes = binding.group->lanes();
+        GroupBinding group = binding;
+        if (group.locals.empty()) {
+            if (lanes != numPus())
+                panic("system: batched RTL engine has ", lanes,
+                      " lanes for ", numPus(), " PUs");
+            for (int l = 0; l < lanes; ++l)
+                group.locals.push_back(l);
         }
-        int lanes = binding.batch->lanes();
-        if (!binding.locals.empty() &&
-            static_cast<int>(binding.locals.size()) != lanes) {
+        if (static_cast<int>(group.locals.size()) != lanes)
             panic("system: batched RTL engine has ", lanes,
-                  " lanes but ", binding.locals.size(),
+                  " lanes but ", group.locals.size(),
                   " bound local PUs");
-        }
         for (int lane = 0; lane < lanes; ++lane) {
-            int local = binding.locals.empty() ? lane
-                                               : binding.locals[lane];
+            const int local = group.locals[lane];
             if (local < 0 || local >= numPus())
                 panic("system: batch lane ", lane,
                       " binds out-of-range local PU ", local);
-            if (laneRef_[local].batch)
+            if (covered[local])
                 panic("system: local PU ", local,
                       " bound to two batched engines");
-            laneRef_[local] = LaneRef{binding.batch.get(), lane};
+            covered[local] = 1;
+        }
+        groups_.push_back(std::move(group));
+    }
+    GroupBinding units;
+    std::vector<ProcessingUnit *> unit_pus;
+    for (int l = 0; l < numPus(); ++l) {
+        if (covered[l])
+            continue;
+        units.locals.push_back(l);
+        unit_pus.push_back(pus_[l].pu.get());
+    }
+    if (!units.locals.empty()) {
+        units.group = std::make_shared<UnitGroup>(std::move(unit_pus));
+        groups_.push_back(std::move(units));
+    }
+    // Rows start at the group's first local; consecutive locals need no
+    // lane map.
+    for (GroupBinding &group : groups_) {
+        const std::vector<int> &locals = group.locals;
+        const int first = locals.empty() ? 0 : locals[0];
+        bool consecutive = true;
+        for (size_t i = 0; i < locals.size(); ++i)
+            consecutive = consecutive && locals[i] == first + int(i);
+        const int base = consecutive ? first : 0;
+        group.rows = LaneRows{inputCtrl_->headTokens() + base,
+                              handshake_.data() + base,
+                              outToken_.data() + base};
+        group.map = consecutive ? nullptr : locals.data();
+        group.live = live_.data() + base;
+    }
+    state_ = ShardState::Active;
+}
+
+bool
+ChannelShard::runHandshakes(bool &all_finished)
+{
+    const int num_pus = numPus();
+
+    // Latch: every live unit's view of its controller buffers, read
+    // from the controllers' dense lane views into the handshake bytes.
+    // Pure reads of per-PU state, so gathering them all before any
+    // handshake acts is identical to the interleaved order — and lets
+    // each group evaluate all its lanes in one sweep. A unit that is
+    // not live latches nothing.
+    const uint8_t *live = live_.data();
+    uint8_t *hs_row = handshake_.data();
+    latchHandshakes(num_pus, inputCtrl_->laneFlags(),
+                    outputCtrl_->tokenFits(), live, hs_row);
+    for (const GroupBinding &group : groups_)
+        group.group->eval(group.rows, group.map, group.live);
+
+    // Masks: each live unit's produced / consumed / finishing bits and
+    // its stall counters, without a branch per lane.
+    const uint8_t *finished = finished_.data();
+    uint8_t *events = events_.data();
+    uint8_t *starved = starvedPending_.data();
+    uint8_t *blocked = blockedPending_.data();
+    const bool any_event = handshakeMasks(
+        static_cast<int>(events_.size() / 8), hs_row, live, finished,
+        events, starved, blocked, all_finished);
+    if (++pendingCycles_ == kFoldCycles) {
+        for (int l = 0; l < num_pus; ++l) {
+            starved_[l] += starved[l];
+            blocked_[l] += blocked[l];
+            starved[l] = blocked[l] = 0;
+        }
+        pendingCycles_ = 0;
+    }
+
+    if (trace_) {
+        for (int l = 0; l < num_pus; ++l) {
+            const uint8_t hs = hs_row[l];
+            trace::PuPhase phase;
+            if (!live[l] || finished[l])
+                phase = trace::PuPhase::Done;
+            else if (events[l])
+                phase = trace::PuPhase::Active;
+            else
+                phase = trace::phaseForStall(trace::classifyStall(
+                    hs & kInputReady, hs & kInputValid,
+                    hs & kInputFinished, hs & kOutputValid,
+                    hs & kOutputReady));
+            trace_->puCycle(l, cycles_, phase);
         }
     }
-    unbatched_.clear();
-    for (int l = 0; l < numPus(); ++l)
-        if (!laneRef_[l].batch)
-            unbatched_.push_back(l);
-    cycleIn_.assign(pus_.size(), PuInputs{});
-    state_ = ShardState::Active;
+
+    // Commit: only the units whose handshake fired, in ascending local
+    // order, 64 lanes at a time: first the pushes, then the pops, then
+    // the finishes. Each touches only its own unit's buffers, so this
+    // is the per-unit order push, pop, finish.
+    const int in_width = inWidth_;
+    const int out_width = outWidth_;
+    const size_t num_bytes = events_.size();
+    for (size_t base = 0; any_event && base < num_bytes; base += 64) {
+        const int first = static_cast<int>(base);
+        const int words = static_cast<int>(
+            std::min<size_t>(8, (num_bytes - base) / 8));
+        uint64_t lanes[3];
+        eventLanes(events + base, words, lanes);
+        for (uint64_t m = lanes[0]; m; m &= m - 1) {
+            const int l = first + std::countr_zero(m);
+            outputCtrl_->push(l, outToken_[l], out_width);
+            emitted_[l] += out_width;
+        }
+        for (uint64_t m = lanes[1]; m; m &= m - 1)
+            inputCtrl_->pop(first + std::countr_zero(m), in_width);
+        for (uint64_t m = lanes[2]; m; m &= m - 1) {
+            const int l = first + std::countr_zero(m);
+            outputCtrl_->setPuFinished(l);
+            finished_[l] = 1;
+            finishedAt_[l] = cycles_;
+        }
+    }
+    return any_event;
 }
 
 ShardState
@@ -210,122 +486,18 @@ ChannelShard::step(uint64_t budget)
 {
     if (state_ != ShardState::Active)
         return state_;
-    const int in_width = inWidth_;
-    const int out_width = outWidth_;
-    const int num_pus = numPus();
-    memctl::InputController &in_ctrl = *inputCtrl_;
-    memctl::OutputController &out_ctrl = *outputCtrl_;
 
     try {
         for (; budget > 0 && cycles_ < maxCycles_; ++cycles_, --budget) {
-            bool activity = false;
             bool all_finished = true;
-
-            // Phase 1: latch every live PU's view of its controller
-            // buffers straight into its engine lane's input rows (or,
-            // for a per-unit lane, its PuInputs). These are pure reads
-            // of per-PU state, so gathering them all before any
-            // handshake acts is identical to the interleaved order —
-            // and lets the batched engines evaluate every lane in one
-            // vectorized sweep.
-            for (int l = 0; l < num_pus; ++l) {
-                if (!live_[l])
-                    continue;
-                const memctl::BitFifo &in_buf = in_ctrl.buffer(l);
-                const bool valid = in_buf.sizeBits() >= uint64_t(in_width);
-                const uint64_t token = valid ? in_buf.peek(in_width) : 0;
-                const bool finished =
-                    in_ctrl.streamExhausted(l) && in_buf.empty();
-                const bool ready = out_ctrl.buffer(l).freeBits() >=
-                                   uint64_t(out_width);
-                handshake_[l] = uint8_t(valid * kInputValid |
-                                        finished * kInputFinished |
-                                        ready * kOutputReady);
-                const LaneRef &ref = laneRef_[l];
-                if (ref.batch)
-                    ref.batch->setLaneInputs(ref.lane, token, valid,
-                                             finished, ready);
-                else
-                    cycleIn_[l] = PuInputs{token, valid, finished, ready};
-            }
-            for (BatchBinding &binding : batches_)
-                binding.batch->evalAll();
-
-            // Phase 2: act on each PU's outputs (handshakes mutate only
-            // that PU's buffers), classify the cycle, track completion.
-            for (int l = 0; l < num_pus; ++l) {
-                if (!live_[l]) {
-                    // Contained or awaiting a job: quarantined from the
-                    // loop until retired / re-armed.
-                    if (trace_)
-                        trace_->puCycle(l, cycles_, trace::PuPhase::Done);
-                    continue;
-                }
-                const LaneRef &ref = laneRef_[l];
-                const PuOutputs out =
-                    ref.batch ? ref.batch->laneOutputs(ref.lane)
-                              : pus_[l].pu->eval(cycleIn_[l]);
-                const uint8_t latched = handshake_[l];
-                const bool valid = latched & kInputValid;
-                const bool finished = latched & kInputFinished;
-                const bool ready = latched & kOutputReady;
-                handshake_[l] = uint8_t(latched |
-                                        out.inputReady * kInputReady |
-                                        out.outputValid * kOutputValid);
-
-                const bool produced = out.outputValid && ready;
-                const bool consumed = out.inputReady && valid;
-                if (produced) {
-                    out_ctrl.push(l, out.outputToken, out_width);
-                    emitted_[l] += out_width;
-                }
-                if (consumed)
-                    in_ctrl.buffer(l).pop(in_width);
-                const bool was_finished = finished_[l];
-                const bool finishing = out.outputFinished && !was_finished;
-                if (finishing) {
-                    out_ctrl.setPuFinished(l);
-                    finished_[l] = 1;
-                    puStats_[l].finishedAtCycle = cycles_;
-                }
-                activity = activity || produced || consumed || finishing;
-                // Shared taxonomy (trace/taxonomy.h), counted until the
-                // unit finishes. Note these two legacy counters are
-                // independent conditions, not the exclusive phase
-                // partition the trace records.
-                const bool open = !(was_finished || finishing);
-                PuStats &stats = puStats_[l];
-                stats.inputStarvedCycles += uint64_t(
-                    open &&
-                    trace::inputStarved(out.inputReady, valid, finished));
-                stats.outputBlockedCycles += uint64_t(
-                    open && trace::outputBlocked(out.outputValid, ready));
-                if (trace_) {
-                    trace::PuPhase phase;
-                    if (was_finished)
-                        phase = trace::PuPhase::Done;
-                    else if (consumed || produced || finishing)
-                        phase = trace::PuPhase::Active;
-                    else
-                        phase = trace::phaseForStall(trace::classifyStall(
-                            out.inputReady, valid, finished,
-                            out.outputValid, ready));
-                    trace_->puCycle(l, cycles_, phase);
-                }
-                all_finished = all_finished && !open;
-            }
+            bool activity = runHandshakes(all_finished);
 
             inputCtrl_->tick();
             outputCtrl_->tick();
             channel_->tick();
-            // One vectorized clock edge per batched group. Failed lanes
-            // advance too, but nothing observes them again. Unbatched
-            // slots step per-unit.
-            for (BatchBinding &binding : batches_)
-                binding.batch->step();
-            for (int l : unbatched_)
-                if (live_[l])
-                    pus_[l].pu->step();
+            // One clock edge per lane group.
+            for (const GroupBinding &group : groups_)
+                group.group->step(group.map, group.live);
 
             // Containment events raised by this cycle's ticks. Polled
             // after the ticks so the kill takes effect from the next
@@ -432,7 +604,7 @@ ChannelShard::finishRun()
         if (!slot.failed) {
             if (channel_outcome.status.ok()) {
                 slot.outcome.status = Status::make(StatusCode::Ok);
-                slot.outcome.atCycle = puStats_[l].finishedAtCycle;
+                slot.outcome.atCycle = finishedAt_[l];
             } else {
                 slot.outcome.status = channel_outcome.status;
                 slot.outcome.atCycle = cycles_;
@@ -468,7 +640,7 @@ ChannelShard::retireJob(int local)
     job.jobId = slot.jobId;
     job.armCycle = slot.armCycle;
     job.retireCycle = cycles_;
-    const PuStats &stats = puStats_[local];
+    const PuStats stats = puStats(local);
     job.streamBits = slot.streamBits;
     job.emittedBits = emitted_[local];
     job.stats.inputStarvedCycles = stats.inputStarvedCycles -
@@ -544,8 +716,8 @@ ChannelShard::rearmPu(int local, uint64_t stream_bits, uint64_t job_id)
     finished_[local] = 0;
     handshake_[local] = 0;
     emitted_[local] = 0;
-    slot.statsAtArm = puStats_[local];
-    puStats_[local].finishedAtCycle = 0;
+    slot.statsAtArm = puStats(local);
+    finishedAt_[local] = 0;
     slot.outcome = PuOutcome{};
     // Fresh work: the stretch the slot sat parked must not count
     // against the forward-progress watchdog.
@@ -569,8 +741,9 @@ ChannelShard::finalizeStats()
                              ceilDiv(slot.streamBits, 8);
         stats_.outputBytes += slot.pastOutputBytes +
                               ceilDiv(emitted_[l], 8);
-        stats_.inputStarvedCycles += puStats_[l].inputStarvedCycles;
-        stats_.outputBlockedCycles += puStats_[l].outputBlockedCycles;
+        const PuStats stats = puStats(static_cast<int>(l));
+        stats_.inputStarvedCycles += stats.inputStarvedCycles;
+        stats_.outputBlockedCycles += stats.outputBlockedCycles;
     }
 }
 
@@ -631,7 +804,7 @@ ChannelShard::takeTrace()
         set.set("delivered_bits", inputCtrl_->puBitsDelivered(local));
         set.set("emitted_bits", emitted_[l]);
         set.set("flushed_payload_bits", outputCtrl_->payloadBits(local));
-        set.set("finished_at_cycle", puStats_[l].finishedAtCycle);
+        set.set("finished_at_cycle", finishedAt_[l]);
         set.set("contained", slot.failed ? 1 : 0);
         set.set("jobs_retired", slot.jobsRetired);
         slot.pu->appendCounters(set);
@@ -649,14 +822,16 @@ ChannelShard::watchdogDump(uint64_t stalled_cycles) const
        << "): no PU retired a token and no DRAM beat moved\n";
     for (size_t l = 0; l < pus_.size(); ++l) {
         const PuSlot &slot = pus_[l];
+        const PuStats stats = puStats(static_cast<int>(l));
         os << "  PU " << slot.globalIndex << " (local " << l
            << "): " << stallReason(static_cast<int>(l)) << "; in-fifo "
            << inputCtrl_->buffer(static_cast<int>(l)).sizeBits()
            << " bits, out-fifo "
            << outputCtrl_->buffer(static_cast<int>(l)).sizeBits()
            << " bits, emitted " << emitted_[l] << " bits, starved "
-           << puStats_[l].inputStarvedCycles << " cycles, blocked "
-           << puStats_[l].outputBlockedCycles << " cycles\n";
+           << stats.inputStarvedCycles << " cycles, blocked "
+           << stats.outputBlockedCycles
+           << " cycles\n";
     }
     os << "  input-ctrl in-flight bursts " << inputCtrl_->inflightBursts()
        << ", output-ctrl pending bursts " << outputCtrl_->pendingBursts()

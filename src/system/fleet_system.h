@@ -277,7 +277,7 @@ class FleetSystem : public Device
     SystemStats stats() const override;
 
     /** Per-PU stall breakdown (valid after run()). */
-    const PuStats &puStats(int pu) const
+    PuStats puStats(int pu) const
     {
         return shards_[puShard_[pu]]->puStats(puLocal_[pu]);
     }

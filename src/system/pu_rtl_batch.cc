@@ -7,6 +7,51 @@
 namespace fleet {
 namespace system {
 
+namespace {
+
+// The group gather and scatter, one loop per element width, each
+// vectorizing when the rows are consecutive. Restrict-qualified
+// parameters spare the loops their run-time alias checks, which
+// dominate at a handful of lanes.
+
+template <typename T, typename RowOf>
+void
+gatherInputs(int lanes, RowOf row_of, uint64_t token_mask,
+             const uint64_t *__restrict in_token,
+             const uint8_t *__restrict handshake, T *__restrict token,
+             T *__restrict valid, T *__restrict finished,
+             T *__restrict ready)
+{
+    for (int i = 0; i < lanes; ++i)
+        token[i] = T(in_token[row_of(i)] & token_mask);
+    for (int i = 0; i < lanes; ++i) {
+        const T hs = handshake[row_of(i)];
+        valid[i] = hs & kInputValid;
+        finished[i] = hs >> 1 & 1;
+        ready[i] = hs >> 2 & 1;
+    }
+}
+
+/** The one-bit ports hold 0 or 1 (engine values are width-masked), so
+ * each port's low bit is its value. */
+template <typename T, typename RowOf>
+void
+scatterOutputs(int lanes, RowOf row_of, const T *__restrict input_ready,
+               const T *__restrict out_token, const T *__restrict out_valid,
+               const T *__restrict out_finished,
+               uint8_t *__restrict handshake, uint64_t *__restrict out)
+{
+    for (int i = 0; i < lanes; ++i)
+        handshake[row_of(i)] |= uint8_t((input_ready[i] & 1) * kInputReady |
+                                        (out_valid[i] & 1) * kOutputValid |
+                                        (out_finished[i] & 1) *
+                                            kOutputFinished);
+    for (int i = 0; i < lanes; ++i)
+        out[row_of(i)] = out_token[i];
+}
+
+} // namespace
+
 RtlTapeEngine::RtlTapeEngine(const lang::Program &program)
     : RtlTapeEngine(compile::compileProgram(program))
 {
@@ -60,8 +105,10 @@ RtlBatch::resolveRows(PortRows<T> &rows, std::vector<T> &sink)
         if (slot >= 0) {
             rows.in[i] = sim_.row<T>(slot);
         } else {
-            sink.resize(sim_.lanes());
-            rows.in[i] = sink.data();
+            // A row per port: the group gather writes the four rows
+            // through restrict pointers.
+            sink.resize(4 * size_t(sim_.lanes()));
+            rows.in[i] = sink.data() + i * size_t(sim_.lanes());
         }
     }
     const rtl::NodeId out_nodes[4] = {
@@ -72,9 +119,34 @@ RtlBatch::resolveRows(PortRows<T> &rows, std::vector<T> &sink)
 }
 
 void
-RtlBatch::evalAll()
+RtlBatch::eval(const LaneRows &rows, const int *locals, const uint8_t *)
 {
+    // A row that is not live latched no input bits; its lane is
+    // evaluated on them and its outputs are never read. Consecutive
+    // rows (no lane map) keep both sweeps free of indexed accesses.
+    auto mapped = [locals](int i) { return locals[i]; };
+    auto direct = [](int i) { return i; };
+    if (elem32_ && locals)
+        evalRows(rows32_, rows, mapped);
+    else if (elem32_)
+        evalRows(rows32_, rows, direct);
+    else if (locals)
+        evalRows(rows64_, rows, mapped);
+    else
+        evalRows(rows64_, rows, direct);
+}
+
+template <typename T, typename RowOf>
+void
+RtlBatch::evalRows(const PortRows<T> &ports, const LaneRows &rows,
+                   RowOf row_of)
+{
+    gatherInputs(lanes_, row_of, tokenMask_, rows.inToken, rows.handshake,
+                 ports.in[0], ports.in[1], ports.in[2], ports.in[3]);
     sim_.evalAll();
+    scatterOutputs(lanes_, row_of, ports.out[0], ports.out[1],
+                   ports.out[2], ports.out[3], rows.handshake,
+                   rows.outToken);
 }
 
 void
@@ -84,8 +156,10 @@ RtlBatch::evalLane(int lane)
 }
 
 void
-RtlBatch::step()
+RtlBatch::step(const int *, const uint8_t *)
 {
+    // Lanes that are not live advance too; nothing observes them until
+    // a re-arm resets the lane.
     sim_.step();
 }
 

@@ -9,11 +9,12 @@
  *  - RtlTapeEngine: the program compiled once — circuit, optimizer run,
  *    tape — shared by every PU replica instead of re-deriving it per
  *    unit;
- *  - RtlBatch + RtlBatchLane: all PUs of a channel evaluated as lanes
- *    of one structure-of-arrays BatchSimulator. ChannelShard drives the
- *    whole group per cycle (setLaneInputs* -> evalAll -> laneOutputs*
- *    -> step); a lane still works standalone as a ProcessingUnit
- *    (single-PU testbenches), evaluating and stepping only itself.
+ *  - RtlBatch + RtlBatchLane: PUs of a channel evaluated as lanes of
+ *    one structure-of-arrays BatchSimulator. RtlBatch is a LaneGroup:
+ *    ChannelShard drives the whole group per cycle (eval: gather the
+ *    latched rows -> evalAll -> scatter the outputs; then step); a lane
+ *    still works standalone as a ProcessingUnit (single-PU
+ *    testbenches), evaluating and stepping only itself.
  */
 
 #include <memory>
@@ -22,6 +23,7 @@
 #include "compile/compiler.h"
 #include "rtl/batch_sim.h"
 #include "rtl/tape.h"
+#include "system/lane_group.h"
 #include "system/pu.h"
 
 namespace fleet {
@@ -50,9 +52,9 @@ class RtlTapeEngine
 
 /**
  * A channel group of tape-compiled PUs evaluated together in SoA
- * layout. Lane l is the PU with local index l in its ChannelShard.
+ * layout; the shard maps each lane to a local PU.
  */
-class RtlBatch
+class RtlBatch : public LaneGroup
 {
   public:
     /**
@@ -68,7 +70,7 @@ class RtlBatch
     RtlBatch &operator=(const RtlBatch &) = delete;
 
     /** PU lanes, excluding any jit padding. */
-    int lanes() const { return lanes_; }
+    int lanes() const override { return lanes_; }
     const RtlTapeEngine &engine() const { return *engine_; }
     bool jitAttached() const { return sim_.jitAttached(); }
 
@@ -78,23 +80,22 @@ class RtlBatch
      * optimizer eliminated writes to a sink row).
      */
     void
-    setLaneInputs(int lane, uint64_t token, bool valid, bool finished,
-                  bool ready)
-    {
-        token &= tokenMask_;
-        if (elem32_)
-            rows32_.write(lane, token, valid, finished, ready);
-        else
-            rows64_.write(lane, token, valid, finished, ready);
-    }
-    void
     setLaneInputs(int lane, const PuInputs &in)
     {
-        setLaneInputs(lane, in.inputToken, in.inputValid, in.inputFinished,
-                      in.outputReady);
+        const uint64_t token = in.inputToken & tokenMask_;
+        if (elem32_)
+            rows32_.write(lane, token, in.inputValid, in.inputFinished,
+                          in.outputReady);
+        else
+            rows64_.write(lane, token, in.inputValid, in.inputFinished,
+                          in.outputReady);
     }
-    /** Evaluate every lane (vectorized group path). */
-    void evalAll();
+    /** Group path: gather every lane's latched rows into the input
+     * rows, evaluate all lanes in one sweep, scatter the outputs. */
+    void eval(const LaneRows &rows, const int *locals,
+              const uint8_t *live) override;
+    /** Clock edge for every lane (group path). */
+    void step(const int *locals, const uint8_t *live) override;
     /** Evaluate one lane only (standalone-lane path). */
     void evalLane(int lane);
     /** One lane's output ports, read straight from the output rows. */
@@ -103,8 +104,6 @@ class RtlBatch
     {
         return elem32_ ? rows32_.read(lane) : rows64_.read(lane);
     }
-    /** Clock edge for every lane. */
-    void step();
     void stepLane(int lane);
     void resetLane(int lane);
 
@@ -142,6 +141,9 @@ class RtlBatch
 
     template <typename T>
     void resolveRows(PortRows<T> &rows, std::vector<T> &sink);
+    template <typename T, typename RowOf>
+    void evalRows(const PortRows<T> &ports, const LaneRows &rows,
+                  RowOf row_of);
 
     std::shared_ptr<const RtlTapeEngine> engine_;
     int lanes_;

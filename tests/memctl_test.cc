@@ -202,7 +202,7 @@ TEST(InputController, DeliversExactStreamBits)
         // PUs consume 8 bits per cycle when available.
         for (int p = 0; p < 3; ++p) {
             if (ctrl.buffer(p).sizeBits() >= 8)
-                received[p].push_back(uint8_t(ctrl.buffer(p).pop(8)));
+                received[p].push_back(uint8_t(ctrl.pop(p, 8)));
         }
         ctrl.tick();
         ch.tick();
@@ -210,7 +210,7 @@ TEST(InputController, DeliversExactStreamBits)
     // Drain leftovers.
     for (int p = 0; p < 3; ++p)
         while (ctrl.buffer(p).sizeBits() >= 8)
-            received[p].push_back(uint8_t(ctrl.buffer(p).pop(8)));
+            received[p].push_back(uint8_t(ctrl.pop(p, 8)));
 
     EXPECT_TRUE(ctrl.done());
     ASSERT_EQ(received[0].size(), 2048u);
@@ -241,7 +241,7 @@ TEST(InputController, RoundRobinServesAllPusFairly)
     for (int cycle = 0; cycle < 3000; ++cycle) {
         for (int p = 0; p < pus; ++p) {
             if (ctrl.buffer(p).sizeBits() >= 32) {
-                ctrl.buffer(p).pop(32);
+                ctrl.pop(p, 32);
                 consumed[p] += 32;
             }
         }
@@ -278,9 +278,8 @@ TEST(InputController, SyncAddressingMuchSlower)
         for (int cycle = 0; cycle < cycles; ++cycle) {
             for (int p = 0; p < pus; ++p) {
                 // Consume eagerly (drop-all probe).
-                auto &buf = ctrl.buffer(p);
-                if (buf.sizeBits() >= 32)
-                    buf.pop(32);
+                if (ctrl.buffer(p).sizeBits() >= 32)
+                    ctrl.pop(p, 32);
             }
             ctrl.tick();
             ch.tick();
@@ -418,7 +417,7 @@ TEST(InputController, NonDividingTokenWidthNeedsNoDoubleBuffer)
         std::vector<uint64_t> tokens;
         for (int cycle = 0; cycle < 60000; ++cycle) {
             if (ctrl.buffer(0).sizeBits() >= kTokenBits)
-                tokens.push_back(ctrl.buffer(0).pop(kTokenBits));
+                tokens.push_back(ctrl.pop(0, kTokenBits));
             ctrl.tick();
             ch.tick();
             if (ctrl.done() && tokens.size() == kTokens)
@@ -552,7 +551,7 @@ drainTokens(InputController &ctrl, dram::DramChannel &ch, int token_bits,
     std::vector<uint64_t> tokens;
     for (int cycle = 0; cycle < 120000; ++cycle) {
         if (ctrl.buffer(0).sizeBits() >= uint64_t(token_bits))
-            tokens.push_back(ctrl.buffer(0).pop(token_bits));
+            tokens.push_back(ctrl.pop(0, token_bits));
         ctrl.tick();
         ch.tick();
         if (ctrl.done() && tokens.size() == want && ctrl.puIdle(0))

@@ -5,8 +5,9 @@
  *
  *  1. *Schedule determinism*: for every policy, the job→slot schedule,
  *     the JobReports, and the settled RunReport (traces included) are
- *     bit-identical across PU backends ({Fast, Rtl}) and host
- *     thread counts ({1, N}).
+ *     bit-identical across PU backends ({Fast, Rtl, RtlInterp, RtlJit},
+ *     and a binding that interleaves all four by slot) and host thread
+ *     counts ({1, N}).
  *  2. *Work conservation*: after any scheduler round, no parked live
  *     slot coexists with a queued job its program binding could run —
  *     the second arm sweep relaxes placement hints precisely so hints
@@ -284,6 +285,10 @@ TEST(SchedProperty, ScheduleBitIdenticalAcrossBackendsAndThreads)
             {system::PuBackend::Fast, 4, "Fast/4"},
             {system::PuBackend::Rtl, 1, "Rtl/1"},
             {system::PuBackend::Rtl, 4, "Rtl/4"},
+            {system::PuBackend::RtlInterp, 1, "RtlInterp/1"},
+            {system::PuBackend::RtlInterp, 4, "RtlInterp/4"},
+            {system::PuBackend::RtlJit, 1, "RtlJit/1"},
+            {system::PuBackend::RtlJit, 4, "RtlJit/4"},
         };
         for (const Variant &variant : variants) {
             auto [reports, run_report] =
@@ -297,6 +302,65 @@ TEST(SchedProperty, ScheduleBitIdenticalAcrossBackendsAndThreads)
             ASSERT_TRUE(run_report == base_report)
                 << schedulerPolicyName(policy) << " " << variant.label
                 << ": RunReport (traces included) diverges";
+        }
+    }
+}
+
+TEST(SchedProperty, InterleavedEnginesBitIdenticalAcrossThreads)
+{
+    // Slot p runs engine p % 4. With 24 slots on 3 channels each
+    // channel hosts locals 0..7 as slots c, c+3, ..., c+21, so every
+    // engine's group on a channel is a stride-4 permutation of its
+    // locals (the batched groups index the shard's rows through a lane
+    // map). A deeper mix re-arms every slot several times. JobReports
+    // and the settled RunReport must equal the all-Fast run's, at 1
+    // and 4 host threads, under every policy.
+    auto program = testprogs::blockFrequencies(32);
+    const system::PuBackend engines[] = {
+        system::PuBackend::Fast, system::PuBackend::Rtl,
+        system::PuBackend::RtlInterp, system::PuBackend::RtlJit};
+    const SchedulerPolicy policies[] = {
+        SchedulerPolicy::Fifo, SchedulerPolicy::Priority,
+        SchedulerPolicy::Sjf, SchedulerPolicy::Wfq};
+    std::vector<TaggedJob> mix = randomTenantMix(77, 96);
+
+    for (SchedulerPolicy policy : policies) {
+        auto runAll = [&](bool interleaved, int threads) {
+            SessionConfig config =
+                poolConfig(system::PuBackend::Fast, threads);
+            config.numSlots = 24;
+            config.scheduler.policy = policy;
+            config.scheduler.weights = {{0, 4}, {1, 1}, {2, 2}};
+            config.system.trace.events = true;
+            std::vector<system::SlotBinding> bindings(24);
+            for (int p = 0; p < 24; ++p)
+                if (interleaved)
+                    bindings[p].backend = engines[p % 4];
+            Session session({program}, config, bindings);
+            for (const TaggedJob &job : mix)
+                session.submitJob(job.stream, job.tag,
+                                  session.cycles());
+            system::RunReport report = session.finish();
+            return std::make_pair(session.reports(),
+                                  std::move(report));
+        };
+
+        auto [base, base_report] = runAll(false, 1);
+        for (uint64_t j = 0; j < mix.size(); ++j)
+            ASSERT_TRUE(base[j].ok())
+                << schedulerPolicyName(policy) << " job " << j << ": "
+                << base[j].status.toString();
+        for (int threads : {1, 4}) {
+            auto [reports, run_report] = runAll(true, threads);
+            ASSERT_EQ(reports.size(), base.size());
+            for (uint64_t j = 0; j < reports.size(); ++j)
+                ASSERT_TRUE(reports[j] == base[j])
+                    << schedulerPolicyName(policy) << " interleaved/"
+                    << threads << ": job " << j
+                    << " diverges from Fast/1";
+            ASSERT_TRUE(run_report == base_report)
+                << schedulerPolicyName(policy) << " interleaved/"
+                << threads << ": RunReport (traces included) diverges";
         }
     }
 }
